@@ -43,8 +43,7 @@ class Chain:
         self._self_anc: dict[EventId, int] = {}
         # per-creator self-chain tips: events with no same-creator child
         self._tips: dict[NodeId, set[EventId]] = {}
-        # all same-creator concurrent pairs seen so far, (min_id, max_id)
-        self._fork_pairs: set[tuple[EventId, EventId]] = set()
+        # later-by-(lamport, id) member of every fork pair seen so far
         self._fork_victims: set[EventId] = set()
 
     # -- basics -------------------------------------------------------
@@ -154,23 +153,15 @@ class Chain:
         tips.discard(e.self_ref)
         tips.add(e.id)
 
-        new_pairs: list[tuple[EventId, EventId]] = []
-        if not clean:
-            # slow path: the self parent already had another child (or a
-            # second leaf appeared); scan this creator for concurrent pairs
-            for other_id in self.by_creator[e.creator]:
-                if other_id == e.id:
-                    continue
-                if self._self_related(other_id, e.id):
-                    continue
-                pair = (min(other_id, e.id), max(other_id, e.id))
-                if pair not in self._fork_pairs:
-                    self._fork_pairs.add(pair)
-                    new_pairs.append(pair)
-                    ea, eb = self.events[pair[0]], self.events[pair[1]]
-                    self._fork_victims.add(
-                        pair[1] if eb.sort_key() > ea.sort_key() else pair[0]
-                    )
+        if clean:
+            return []
+        # slow path: the self parent already had another child (or a
+        # second leaf appeared); every pair found holds the new event, so
+        # none of them was reported before
+        new_pairs = self._pairs_with(e.id, self.by_creator[e.creator][:-1])
+        for a, b in new_pairs:
+            later = b if self.events[b].sort_key() > self.events[a].sort_key() else a
+            self._fork_victims.add(later)
         return new_pairs
 
     def _self_related(self, x: EventId, y: EventId) -> bool:
@@ -178,6 +169,14 @@ class Chain:
             self._self_anc[y] >> self._index[x] & 1
             or self._self_anc[x] >> self._index[y] & 1
         )
+
+    def _pairs_with(
+        self, y: EventId, others: Iterable[EventId]
+    ) -> list[tuple[EventId, EventId]]:
+        """Fork pairs, ordered by id, of ``y`` with each concurrent one of ``others``."""
+        return [
+            (min(x, y), max(x, y)) for x in others if not self._self_related(x, y)
+        ]
 
     # -- queries ------------------------------------------------------
 
@@ -222,9 +221,6 @@ class Chain:
             raise UnknownEvent(v.hex())
         return self.ids_from_mask(self.ancestor_mask(v))
 
-    def tips(self, creator: NodeId) -> set[EventId]:
-        return set(self._tips.get(creator, ()))
-
     def top_event(self, creator: NodeId, avoid: frozenset = frozenset()) -> EventId | None:
         """Canonical tip of a creator's self-chain.
 
@@ -249,16 +245,28 @@ class Chain:
     # -- forks ----------------------------------------------------------
 
     def detect_forks(self) -> list[tuple[EventId, EventId]]:
-        """All same-creator concurrent pairs, each ordered by id."""
-        return sorted(self._fork_pairs)
+        """All same-creator concurrent pairs, each ordered by id.
+
+        Computed on each call, not stored.  Only a creator with more than
+        one self-chain tip has concurrent events: two events below one tip
+        are both its self-ancestors, so one is a self-ancestor of the other.
+        """
+        pairs: list[tuple[EventId, EventId]] = []
+        for creator, ids in self.by_creator.items():
+            if len(self._tips[creator]) > 1:
+                for j, y in enumerate(ids):
+                    pairs.extend(self._pairs_with(y, ids[:j]))
+        return sorted(pairs)
 
     def fork_victims(self) -> set[EventId]:
         """Later-by-(lamport, id) member of every fork pair.
 
         This is a pure function of chain content, so any two nodes with
-        the same chain exclude the same events from consensus.
+        the same chain exclude the same events from consensus.  The
+        returned set is the chain's own, kept current by ``insert``;
+        callers must not modify it.
         """
-        return set(self._fork_victims)
+        return self._fork_victims
 
     # -- sync support ---------------------------------------------------
 

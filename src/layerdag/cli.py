@@ -69,7 +69,6 @@ def _parse_delay(spec: str) -> tuple[str, float]:
 
 
 def _sim_config(args: argparse.Namespace) -> SimConfig:
-    seed = os.environ.get("ONLAY_SEED", args.seed)
     model, delay_arg = _parse_delay(args.delay)
     try:
         strategy = PeerStrategy(args.strategy)
@@ -79,7 +78,7 @@ def _sim_config(args: argparse.Namespace) -> SimConfig:
         n=args.nodes,
         k=args.k,
         steps=args.steps,
-        seed=seed,
+        seed=args.seed,
         strategy=strategy,
         layering_algo=args.algo,
         width=args.width,
@@ -253,27 +252,15 @@ def cmd_replay(args: argparse.Namespace) -> int:
     manifest = src / "manifest.txt"
     if not manifest.exists():
         raise ConfigError(f"no manifest in {src}")
-    kv = {}
-    for line in manifest.read_text().splitlines():
-        key, _, val = line.partition("=")
-        kv[key] = val
-    model, delay_arg = _parse_delay(kv.get("delay", "lockstep"))
-    cfg = SimConfig(
-        n=int(kv["nodes"]),
-        k=int(kv["k"]),
-        steps=int(kv["steps"]),
-        seed=kv["seed"],
-        strategy=PeerStrategy(kv["strategy"]),
-        layering_algo=kv["algo"],
-        width=int(kv["width"]) if kv.get("width") else None,
-        byzantine=_parse_byzantine(kv.get("byzantine", "")),
-        w_p=int(kv.get("wp", 0)),
-        w_c=int(kv.get("wc", 0)),
-        delay_model=model,
-        delay_arg=delay_arg,
-    )
-    cfg.validate()
-    result = run_sim(cfg)
+    # manifest keys are the run flags and an empty value is the flag's
+    # default; parsing here rather than in main keeps ONLAY_SEED from
+    # overriding the recorded seed
+    flags = [
+        f"--{line}"
+        for line in manifest.read_text().splitlines()
+        if not line.endswith("=")
+    ]
+    result = run_sim(_sim_config(build_parser().parse_args(["run", *flags])))
     mismatches = []
     for nid in sorted(result.nodes):
         buf = stringio.StringIO()
@@ -356,6 +343,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "seed" in args:
+            args.seed = os.environ.get("ONLAY_SEED", args.seed)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -67,23 +67,6 @@ class MissingLayering(LayerDagError):
     pass
 
 
-class InconsistentRootGraph(LayerDagError):
-    pass
-
-
-class RootPinningConflict(LayerDagError):
-    """A root's frame disagrees with the frame bucket of its layer."""
-
-    def __init__(self, root, assigned, bucket):
-        self.root = root
-        self.assigned = assigned
-        self.bucket = bucket
-        super().__init__(
-            f"root {root.hex()} carries frame {assigned} but its layer "
-            f"bucket resolves to frame {bucket}"
-        )
-
-
 # --- node / harness errors ------------------------------------------------
 
 class NotEnoughPeers(LayerDagError):

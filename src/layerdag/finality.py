@@ -42,7 +42,6 @@ def select_clothos(
     rg: RootGraph,
     n: int,
     cache: ClothoCache | None = None,
-    loose_nomination: bool = False,
     frames: dict[int, list[EventId]] | None = None,
 ) -> dict[EventId, ClothoRecord]:
     """Return Clotho records for every currently decidable root.
@@ -51,31 +50,25 @@ def select_clothos(
     with the same graph gets the same records.  ``cache`` memoizes the
     per-root decision keyed by everything it depends on (the root's
     frame and the witness/nominator frame populations), turning repeat
-    calls into cheap signature comparisons.  With ``loose_nomination``
-    the nominating root may come from any frame at least two above the
-    candidate instead of exactly three.  ``frames`` may pass in
+    calls into cheap signature comparisons.  ``frames`` may pass in
     ``rg.frame_members()`` when the caller has already built it.
     """
     out: dict[EventId, ClothoRecord] = {}
     q = quorum(n)
     if frames is None:
         frames = rg.frame_members()
-    max_frame = max(frames, default=0)
     # fingerprints change whenever a frame's membership changes, including
     # after engine rollbacks that keep the population count the same
     fp = {f: hash(tuple(members)) for f, members in frames.items()}
     for rid, rec in rg.roots.items():
         a = rec.frame
-        if loose_nomination:
-            sig = (a, fp.get(a + 1), max_frame)
-        else:
-            sig = (a, fp.get(a + 1), fp.get(a + 3))
+        sig = (a, fp.get(a + 1), fp.get(a + 3))
         if cache is not None and rid in cache and cache[rid][0] == sig:
             hit = cache[rid][1]
             if hit is not None:
                 out[rid] = hit
             continue
-        found = _decide_clotho(chain, frames, rid, a, q, max_frame, loose_nomination)
+        found = _decide_clotho(chain, frames, rid, a, q)
         if cache is not None:
             cache[rid] = (sig, found)
         if found:
@@ -89,8 +82,6 @@ def _decide_clotho(
     rid: EventId,
     a: int,
     q: int,
-    max_frame: int,
-    loose_nomination: bool,
 ) -> ClothoRecord | None:
     witness_pool = frames.get(a + 1, [])
     if not witness_pool:
@@ -103,20 +94,15 @@ def _decide_clotho(
     reaching_mask = 0
     for i in positions:
         reaching_mask |= 1 << i
-    if loose_nomination:
-        nominator_frames = range(a + 2, max_frame + 1)
-    else:
-        nominator_frames = (a + 3,)
-    for nf in nominator_frames:
-        for nom in sorted(frames.get(nf, ()), key=lambda x: chain.get(x).sort_key()):
-            seen = chain.ancestor_mask(nom) & reaching_mask
-            if seen.bit_count() >= q:
-                return ClothoRecord(
-                    rid,
-                    a,
-                    nom,
-                    frozenset(positions[i] for i in positions if seen >> i & 1),
-                )
+    for nom in sorted(frames.get(a + 3, ()), key=lambda x: chain.get(x).sort_key()):
+        seen = chain.ancestor_mask(nom) & reaching_mask
+        if seen.bit_count() >= q:
+            return ClothoRecord(
+                rid,
+                a,
+                nom,
+                frozenset(positions[i] for i in positions if seen >> i & 1),
+            )
     return None
 
 
@@ -125,17 +111,12 @@ class AtroposRecord:
     clotho: ClothoRecord
     consensus_position: int
 
-    @property
-    def consensus_time(self) -> int:
-        return self.consensus_position
-
 
 @dataclass
 class FinalOrder:
     """Append-only final order plus the Atropos main chain."""
 
     ordered_events: list[EventId] = field(default_factory=list)
-    processed: set[EventId] = field(default_factory=set)
     processed_mask: int = 0
     atropos: list[AtroposRecord] = field(default_factory=list)
     # last emitted event per creator: emission follows exactly one
@@ -197,7 +178,6 @@ def topo_sort_finalize(
         order.processed_mask |= chunk_mask
         chunk = chain.ids_from_mask(chunk_mask)
         for v in sorted(chunk, key=lambda x: sort_vertex_key(chain, layering, x)):
-            order.processed.add(v)
             e = chain.get(v)
             if e.self_ref is None:
                 ok = e.creator not in heads

@@ -43,11 +43,6 @@ class Layering:
     def width(self) -> int:
         return max((len(s) for s in self.layers.values()), default=0)
 
-    def copy(self) -> "Layering":
-        return Layering(
-            dict(self.phi), {k: set(v) for k, v in self.layers.items()}
-        )
-
 
 @dataclass(frozen=True)
 class DiffGraph:
@@ -62,10 +57,7 @@ class LayeringState:
     """Mutable state carried across online layering calls."""
 
     layering: Layering = field(default_factory=Layering)
-    processed: set[EventId] = field(default_factory=set)  # U
     settled: set[EventId] = field(default_factory=set)    # Z
-    height: int = 0                                       # l
-    cg_rank: dict[EventId, int] = field(default_factory=dict)
 
 
 def max_width(n: int, w_p: float = 0.0, w_c: int = 0) -> Fraction:
@@ -281,9 +273,7 @@ def layer_lpl_online(
             (state.layering.phi[p] for p in parents[v]), default=0
         )
         state.layering.assign(v, layer)
-        state.processed.add(v)
         state.settled.add(v)
-        state.height = max(state.height, layer)
     return state
 
 
@@ -299,21 +289,12 @@ def layer_cg_online(
     if width < 1:
         raise InvalidWidth(f"width must be >= 1, got {width}")
     parents = _diff_parents(state, diff)
-    order = _causal_diff_order(chain, parents, state.layering.phi)
-    # phase-1 ranks continue the global counter in placement order
-    next_rank = len(state.cg_rank)
-    for v in order:
-        next_rank += 1
-        state.cg_rank[v] = next_rank
-    for v in order:
+    for v in _causal_diff_order(chain, parents, state.layering.phi):
         target = 1 + max(
             (state.layering.phi[p] for p in parents[v]), default=0
         )
         if len(state.layering.layers.get(target, ())) >= width:
-            state.height = max(state.height, target) + 1
-            target = state.height
+            target = max(state.layering.height, target) + 1
         state.layering.assign(v, target)
-        state.processed.add(v)
         state.settled.add(v)
-        state.height = max(state.height, target)
     return state

@@ -41,7 +41,7 @@ from .layering import (
     layer_lpl_online,
     max_width,
 )
-from .roots import RootGraphEngine, assign_vertex_frames, quorum
+from .roots import RootGraphEngine, quorum
 
 log = logging.getLogger(__name__)
 
@@ -152,7 +152,6 @@ class NodeState:
         width: int | None = None,
         w_p: int = 0,
         w_c: int = 0,
-        loose_nomination: bool = False,
         settle_slack: int = DEFAULT_SETTLE_SLACK,
     ) -> None:
         if n < 1:
@@ -169,7 +168,6 @@ class NodeState:
             self.width = width if width is not None else math.ceil(max_width(n, w_p, w_c))
         else:
             self.width = None
-        self.loose_nomination = loose_nomination
         self.settle_slack = settle_slack
 
         self.chain = Chain()
@@ -178,11 +176,11 @@ class NodeState:
         self.clothos: dict[EventId, ClothoRecord] = {}
         self._clotho_cache: ClothoCache = {}
         self.order = FinalOrder()
-        self.victims: set[EventId] = set()
+        # fork members kept out of consensus: the chain's own set
+        self.victims: set[EventId] = self.chain.fork_victims()
         self._victims_applied: set[EventId] = set()
         self.quarantine: dict[EventId, EventBlock] = {}
         self.pending: dict[EventId, EventBlock] = {}  # missing parents
-        self.fork_notices: set[tuple[EventId, EventId]] = set()
         self._notice_queue: list[tuple[EventId, EventId]] = []
         self._announced: set[EventId] = set()  # fork members already announced
         self.outbox: list[Envelope] = []
@@ -217,15 +215,9 @@ class NodeState:
         self._fresh.append(e.id)
         if report is not None:
             report.accepted.append(e.id)
-        if pairs:
-            for pair in pairs:
-                pair = tuple(sorted(pair))
-                if pair not in self.fork_notices:
-                    self.fork_notices.add(pair)
-                    self._notice_queue.append(pair)
-                if report is not None:
-                    report.fork_pairs.append(pair)
-            self.victims |= self.chain.fork_victims()
+        self._notice_queue.extend(pairs)
+        if report is not None:
+            report.fork_pairs.extend(pairs)
 
     def create_event(self) -> EventBlock:
         """Emit one event over the freshest non-victim tips."""
@@ -397,10 +389,7 @@ class NodeState:
         elif isinstance(msg, EventResponse):
             self.ingest_events(list(msg.events))
         elif isinstance(msg, ForkNotice):
-            pair = tuple(sorted(msg.pair))
-            if pair not in self.fork_notices:
-                self.fork_notices.add(pair)
-                self._notice_queue.append(pair)
+            self._notice_queue.append(tuple(sorted(msg.pair)))
             unknown = tuple(
                 x for x in msg.pair if x not in self.chain and x not in self.quarantine
             )
@@ -413,8 +402,6 @@ class NodeState:
                         EventRequest(unknown, self.chain.known_map()),
                     )
                 )
-            if all(x in self.chain for x in msg.pair):
-                self.victims |= self.chain.fork_victims()
         else:  # pragma: no cover - exhaustive above
             log.warning("unknown message %r", msg)
 
@@ -451,7 +438,6 @@ class NodeState:
             rg,
             self.n,
             self._clotho_cache,
-            self.loose_nomination,
             frames=frames,
         )
         horizon = max(frames, default=0) - 3 - FINALITY_MARGIN
@@ -495,8 +481,6 @@ class NodeState:
             )
             if wits < q:
                 continue
-            if self.loose_nomination:
-                break  # some future root will see the witnesses; wait
             if all(phi[x] <= settled for x in frames.get(a + 3, [])):
                 continue
             break

@@ -2,8 +2,7 @@
 
 A vertex becomes a root when it reaches more than two thirds of the
 current active root set (one root per creator); leaves are roots by
-definition.  Roots get frame numbers via root-layering, and frames then
-extend to every vertex through a per-layer bucket rule.
+definition.  Roots get frame numbers via root-layering.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chain import Chain
-from .errors import InconsistentRootGraph, MissingLayering, RootPinningConflict
+from .errors import MissingLayering
 from .events import EventId, NodeId
 from .layering import Layering
 
@@ -212,61 +211,3 @@ def build_root_graph(
     engine = RootGraphEngine(n)
     return engine.update(chain, layering, list(layering.phi), exclude)
 
-
-def assign_root_frames(rg: RootGraph) -> dict[EventId, int]:
-    """Frame map over roots (already fixed at promotion time).
-
-    Validates the two root-layering constraints before returning: frames
-    strictly decrease along root-graph edges, and leaf roots sit at
-    frame 1.
-    """
-    phi_r = {rid: rec.frame for rid, rec in rg.roots.items()}
-    for (u, v) in rg.edge_pairs():
-        if phi_r[u] < phi_r[v] + 1:
-            raise InconsistentRootGraph(
-                f"edge frames not monotone: {phi_r[u]} -> {phi_r[v]}"
-            )
-    return phi_r
-
-
-@dataclass
-class FrameAssignment:
-    phi_r: dict[EventId, int]
-    phi_f: dict[EventId, int]
-    frames: dict[int, set[EventId]]
-    conflicts: list[RootPinningConflict] = field(default_factory=list)
-
-
-def assign_vertex_frames(
-    chain: Chain, layering: Layering, phi_r: dict[EventId, int]
-) -> FrameAssignment:
-    """Extend root frames to every vertex via the layer-bucket rule.
-
-    A layer's frame is the largest root frame found at or below it (1
-    before any root appears); vertices inherit their layer's frame.  This
-    is monotone along edges and constant within a layer by construction.
-    Roots whose own frame disagrees with their layer's bucket are reported
-    as conflicts, not overridden.
-    """
-    best_at_layer: dict[int, int] = {}
-    for rid, frame in phi_r.items():
-        layer = layering.phi[rid]
-        best_at_layer[layer] = max(best_at_layer.get(layer, 0), frame)
-
-    bucket: dict[int, int] = {}
-    running = 1
-    for layer in range(1, layering.height + 1):
-        running = max(running, best_at_layer.get(layer, 0))
-        bucket[layer] = running
-
-    phi_f: dict[EventId, int] = {}
-    frames: dict[int, set[EventId]] = {}
-    conflicts: list[RootPinningConflict] = []
-    for v, layer in layering.phi.items():
-        f = bucket[layer]
-        phi_f[v] = f
-        frames.setdefault(f, set()).add(v)
-    for rid, frame in phi_r.items():
-        if phi_f[rid] != frame:
-            conflicts.append(RootPinningConflict(rid, frame, phi_f[rid]))
-    return FrameAssignment(dict(phi_r), phi_f, frames, conflicts)

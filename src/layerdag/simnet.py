@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .chain import Chain
-from .errors import ConfigError, InvalidCut
+from .errors import ConfigError, InvalidCut, LayerDagError
 from .events import EventBlock, EventId, NodeId, make_event, make_leaf, new_event
 from .layering import Layering, layer_cg, layer_lpl, max_width, transitive_reduce
 from .node import (
@@ -46,7 +46,6 @@ class SimConfig:
     w_c: int = 0
     delay_model: str = "lockstep"
     delay_arg: float = 0.0
-    loose_nomination: bool = False
 
     def validate(self) -> None:
         if self.n < 2:
@@ -86,9 +85,7 @@ class Transport:
         model = self.cfg.delay_model
         if model == "lockstep":
             at = now + 1
-        elif model == "rand":
-            at = now + 1 + self.rng.randrange(int(self.cfg.delay_arg) + 1)
-        elif model == "reorder":
+        elif model in ("rand", "reorder"):
             at = now + 1 + self.rng.randrange(int(self.cfg.delay_arg) + 1)
         else:  # drop
             if self.rng.random() < self.cfg.delay_arg:
@@ -137,28 +134,20 @@ class ByzantineNode:
         return tops[:count]
 
     def absorb(self, inbox: list[Envelope]) -> None:
-        events: list[EventBlock] = []
-        for env in inbox:
-            m = env.payload
-            if isinstance(m, (Broadcast, EventResponse)):
-                events.extend(m.events)
-            elif isinstance(m, SyncResponse):
-                events.extend(m.events)
-        pending = {e.id: e for e in events}
-        progress = True
-        while progress:
-            progress = False
-            for eid, e in list(pending.items()):
-                if eid in self.chain:
-                    del pending[eid]
-                    continue
-                if all(r in self.chain for r in e.refs):
-                    try:
-                        self.chain.insert(e)
-                    except Exception:
-                        pass
-                    del pending[eid]
-                    progress = True
+        """Insert every delivered event whose refs are held or delivered too.
+
+        Refs have lower Lamport times than their referrers, so one pass in
+        (lamport, id) order inserts each ref before anything that needs it.
+        """
+        events = [
+            e
+            for env in inbox
+            if isinstance(env.payload, (Broadcast, SyncResponse, EventResponse))
+            for e in env.payload.events
+        ]
+        for e in sorted(events, key=EventBlock.sort_key):
+            if e.id not in self.chain and all(r in self.chain for r in e.refs):
+                self.chain.insert(e)
 
     def step(self, step_no: int, inbox: list[Envelope]) -> list[Envelope]:  # pragma: no cover
         raise NotImplementedError
@@ -202,7 +191,7 @@ class Forker(ByzantineNode):
                 )
                 try:
                     self.chain.insert(e)
-                except Exception:
+                except LayerDagError:
                     return out
                 self.branch_tips[branch] = e
                 self.branch_depth[branch] += 1
@@ -234,7 +223,7 @@ class Equivocator(ByzantineNode):
                 e = make_event(self.id, parent, others, b"eq:%d:%d" % (branch, step_no))
             try:
                 self.chain.insert(e)
-            except Exception:
+            except LayerDagError:
                 continue
             self.tips[branch] = e
             self.forked.append(e)
@@ -269,10 +258,6 @@ class RunResult:
     byzantine: dict[NodeId, ByzantineNode]
     trace: list[TraceEntry]
     steps_run: int
-
-    @property
-    def honest(self) -> dict[NodeId, NodeState]:
-        return self.nodes
 
 
 def _summarize(msg) -> str:
@@ -318,7 +303,6 @@ def build_nodes(cfg: SimConfig) -> tuple[dict[NodeId, NodeState], dict[NodeId, B
                 width=cfg.width,
                 w_p=cfg.w_p,
                 w_c=cfg.w_c,
-                loose_nomination=cfg.loose_nomination,
                 settle_slack=slack,
             )
         elif kind == "forker":

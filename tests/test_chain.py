@@ -147,11 +147,8 @@ def test_top_events_are_self_chain_heads():
 # -- forks ---------------------------------------------------------------
 
 
-def test_detect_forks_matches_bruteforce_scan():
-    rng = random.Random("forks")
-    chain = random_chain(rng, 4, 20)
-    base = chain.get(chain.top_event(2))
-    two_branch_fork(chain, 2, base)
+def bruteforce_fork_pairs(chain):
+    """Every id-ordered pair of same-creator events, neither a self-ancestor of the other."""
     expect = set()
     ids = list(chain.events)
     for x in ids:
@@ -164,7 +161,47 @@ def test_detect_forks_matches_bruteforce_scan():
             if chain.self_ancestor(x, y) or chain.self_ancestor(y, x):
                 continue
             expect.add((x, y))
-    assert set(chain.detect_forks()) == expect
+    return expect
+
+
+def test_detect_forks_matches_bruteforce_scan():
+    rng = random.Random("forks")
+    chain = random_chain(rng, 4, 20)
+    base = chain.get(chain.top_event(2))
+    two_branch_fork(chain, 2, base)
+    assert set(chain.detect_forks()) == bruteforce_fork_pairs(chain)
+
+
+@pytest.mark.parametrize(
+    "leaves,branches",
+    [(2, 2), (1, 3)],
+    ids=["equivocator-two-leaves", "forker-three-branches"],
+)
+def test_insert_reports_each_fork_pair_once(leaves, branches):
+    # creator 0 grows its branches in turns, each event citing creator 1's
+    # latest event, which in turn cites one of the branch tips
+    chain = Chain()
+    reported = []
+    peer = make_leaf(1)
+    reported += chain.insert(peer)
+    tips = []
+    for b in range(leaves):
+        leaf = new_event(0, None, (), 0, b"leaf:%d" % b, 0)
+        reported += chain.insert(leaf)
+        tips.append(leaf)
+    tips += [tips[0]] * (branches - leaves)
+    for step in range(6):
+        for b in range(branches):
+            tips[b] = make_event(0, tips[b], (peer,), payload=b"%d:%d" % (b, step))
+            reported += chain.insert(tips[b])
+        peer = make_event(1, peer, (tips[step % branches],), payload=b"p%d" % step)
+        reported += chain.insert(peer)
+    pairs = chain.detect_forks()
+    assert set(pairs) == bruteforce_fork_pairs(chain)
+    assert len(set(pairs)) == len(pairs)
+    assert sorted(reported) == pairs
+    later = {max(p, key=lambda x: chain.get(x).sort_key()) for p in pairs}
+    assert chain.fork_victims() == later
 
 
 def test_fork_victims_pick_later_sort_key():

@@ -56,19 +56,30 @@ def test_run_byzantine_reports_fork_exclusion(capsys):
     assert "fork-exclusion=PASS" in capsys.readouterr().out
 
 
-def test_replay_matches_recording(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "extra,replay_seed",
+    [
+        pytest.param(["--delay", "rand:2"], None, id="rand"),
+        pytest.param(
+            ["--nodes", "5", "--byzantine", "4:forker", "--wp", "2", "--wc", "3"],
+            None,
+            id="forker",
+        ),
+        pytest.param(
+            ["--algo", "cg", "--width", "6", "--k", "2", "--strategy", "fair"],
+            None,
+            id="cg",
+        ),
+        # the manifest's seed wins over ONLAY_SEED on replay
+        pytest.param(["--delay", "rand:2"], "other", id="seed-env"),
+    ],
+)
+def test_replay_matches_recording(tmp_path, capsys, monkeypatch, extra, replay_seed):
     out = tmp_path / "rec"
-    args = [
-        "--nodes",
-        "4",
-        "--steps",
-        "30",
-        "--seed",
-        "replay",
-        "--delay",
-        "rand:2",
-    ]
+    args = ["--nodes", "4", "--steps", "30", "--seed", "replay", *extra]
     assert main(["run", *args, "--out", str(out)]) == EXIT_OK
+    if replay_seed is not None:
+        monkeypatch.setenv("ONLAY_SEED", replay_seed)
     assert main(["replay", str(out)]) == EXIT_OK
     # tampering with the trace must be caught
     trace = out / "trace.txt"

@@ -162,6 +162,19 @@ def test_forker_actually_forks():
     check_fork_exclusion(result)
 
 
+def test_equivocator_victims_are_the_chains_victims():
+    cfg = SimConfig(n=7, steps=60, seed="eq-victims", byzantine={6: "equivocator"})
+    result = run(cfg)
+    for node in result.nodes.values():
+        chain = node.chain
+        later = {
+            max(pair, key=lambda x: chain.get(x).sort_key())
+            for pair in chain.detect_forks()
+        }
+        assert later
+        assert node.victims == chain.fork_victims() == later
+
+
 def test_silent_node_slows_but_does_not_stop_finality():
     cfg = SimConfig(n=7, steps=80, seed="quiet", byzantine={6: "silent"})
     result = run(cfg)
