@@ -277,16 +277,18 @@ class Chain:
         """Local events the remote side is missing, in causal order.
 
         An event is included when its creation_seq is at or past the
-        remote's per-creator count.  (lamport, id) order is a valid
-        topological order because Lamport time strictly increases along
-        references.
+        remote's per-creator count.  Every event's self parent is in the
+        chain, so each creator's seqs run from 0 without a gap and the
+        walk reads seqs from that count up until one is missing.
+        (lamport, id) order is a valid topological order because Lamport
+        time strictly increases along references.
         """
         out = []
-        for creator, ids in self.by_creator.items():
-            have = remote.get(creator, 0)
-            for eid in ids:
-                if self.events[eid].creation_seq >= have:
-                    out.append(self.events[eid])
+        for creator in self.by_creator:
+            seq = max(remote.get(creator, 0), 0)
+            while (ids := self.by_seq.get((creator, seq))) is not None:
+                out.extend(self.events[eid] for eid in ids)
+                seq += 1
         out.sort(key=EventBlock.sort_key)
         return out
 

@@ -15,7 +15,7 @@ from .chain import Chain
 from .errors import ConsensusInvariantError, UnlayeredVertex
 from .events import EventId
 from .layering import Layering
-from .roots import RootGraph, quorum
+from .roots import RootChanges, RootGraph, quorum
 
 
 def sort_vertex_key(chain: Chain, layering: Layering, v: EventId):
@@ -34,46 +34,73 @@ class ClothoRecord:
     witnesses: frozenset[EventId]
 
 
-ClothoCache = dict[EventId, tuple[tuple, "ClothoRecord | None"]]
+@dataclass
+class ClothoDecisions:
+    """Per-root Clotho decisions kept across ``select_clothos`` calls.
+
+    ``clothos`` holds the record of every root decided as Clotho.
+    ``reach`` holds, for every root of frame ``a``, how many frame
+    ``a+1`` roots reach it.  ``redecided`` holds the roots the latest call
+    decided again; every other root's decision is unchanged.
+    """
+
+    clothos: dict[EventId, ClothoRecord] = field(default_factory=dict)
+    reach: dict[EventId, int] = field(default_factory=dict)
+    redecided: list[EventId] = field(default_factory=list)
+
+
+def _roots_to_redecide(rg: RootGraph, changes: RootChanges) -> set[EventId]:
+    """Roots whose Clotho decision may differ after ``changes``.
+
+    A root of frame ``a`` is decided from the members of frames ``a+1``
+    (witnesses) and ``a+3`` (nominators) alone, so only new roots and the
+    roots of frames ``f-1`` and ``f-3`` of a changed frame ``f`` qualify.
+    """
+    out = set(changes.added)
+    for f in changes.frames:
+        out.update(rg.frames.get(f - 1, ()))
+        out.update(rg.frames.get(f - 3, ()))
+    return out
 
 
 def select_clothos(
     chain: Chain,
     rg: RootGraph,
     n: int,
-    cache: ClothoCache | None = None,
-    frames: dict[int, list[EventId]] | None = None,
+    kept: ClothoDecisions | None = None,
+    changes: RootChanges | None = None,
 ) -> dict[EventId, ClothoRecord]:
     """Return Clotho records for every currently decidable root.
 
     The result is a pure function of the root graph, so every replica
-    with the same graph gets the same records.  ``cache`` memoizes the
-    per-root decision keyed by everything it depends on (the root's
-    frame and the witness/nominator frame populations), turning repeat
-    calls into cheap signature comparisons.  ``frames`` may pass in
-    ``rg.frame_members()`` when the caller has already built it.
+    with the same graph gets the same records.  Given the decisions
+    ``kept`` from the previous call and the root graph's ``changes``
+    since then, only the roots those changes can affect are decided
+    again (see :func:`_roots_to_redecide`) and the records of dropped
+    roots are discarded; ``kept`` is updated in place and its
+    ``clothos`` returned.  Without ``changes`` every root is decided.
     """
-    out: dict[EventId, ClothoRecord] = {}
     q = quorum(n)
-    if frames is None:
-        frames = rg.frame_members()
-    # fingerprints change whenever a frame's membership changes, including
-    # after engine rollbacks that keep the population count the same
-    fp = {f: hash(tuple(members)) for f, members in frames.items()}
-    for rid, rec in rg.roots.items():
-        a = rec.frame
-        sig = (a, fp.get(a + 1), fp.get(a + 3))
-        if cache is not None and rid in cache and cache[rid][0] == sig:
-            hit = cache[rid][1]
-            if hit is not None:
-                out[rid] = hit
-            continue
-        found = _decide_clotho(chain, frames, rid, a, q)
-        if cache is not None:
-            cache[rid] = (sig, found)
+    if kept is None:
+        kept = ClothoDecisions()
+    if changes is None:
+        kept.clothos.clear()
+        kept.reach.clear()
+        kept.redecided = list(rg.order)
+    else:
+        for rec in changes.dropped:
+            kept.clothos.pop(rec.event, None)
+            kept.reach.pop(rec.event, None)
+        kept.redecided = sorted(_roots_to_redecide(rg, changes), key=chain.index_of)
+    for rid in kept.redecided:
+        found, kept.reach[rid] = _decide_clotho(
+            chain, rg.frames, rid, rg.roots[rid].frame, q
+        )
         if found:
-            out[rid] = found
-    return out
+            kept.clothos[rid] = found
+        else:
+            kept.clothos.pop(rid, None)
+    return kept.clothos
 
 
 def _decide_clotho(
@@ -82,14 +109,13 @@ def _decide_clotho(
     rid: EventId,
     a: int,
     q: int,
-) -> ClothoRecord | None:
+) -> tuple[ClothoRecord | None, int]:
+    """The root's Clotho record (or None) and how many witnesses reach it."""
     witness_pool = frames.get(a + 1, [])
-    if not witness_pool:
-        return None
     cand_idx = chain.index_of(rid)
     reaching = [w for w in witness_pool if chain.ancestor_mask(w) >> cand_idx & 1]
     if len(reaching) < q:
-        return None
+        return None, len(reaching)
     positions = {chain.index_of(w): w for w in reaching}
     reaching_mask = 0
     for i in positions:
@@ -97,13 +123,14 @@ def _decide_clotho(
     for nom in sorted(frames.get(a + 3, ()), key=lambda x: chain.get(x).sort_key()):
         seen = chain.ancestor_mask(nom) & reaching_mask
         if seen.bit_count() >= q:
-            return ClothoRecord(
+            record = ClothoRecord(
                 rid,
                 a,
                 nom,
                 frozenset(positions[i] for i in positions if seen >> i & 1),
             )
-    return None
+            return record, len(reaching)
+    return None, len(reaching)
 
 
 @dataclass(frozen=True)
@@ -135,16 +162,22 @@ def select_atropos(
     clothos: dict[EventId, ClothoRecord],
     order: FinalOrder,
 ) -> list[AtroposRecord]:
-    """Assign consensus positions to Clothos not yet on the main chain.
+    """Assign consensus positions to Clothos sorting after the main chain.
 
     Clothos are consumed in the canonical vertex order; positions continue
-    from where the main chain left off, so repeated calls are idempotent.
+    from where the main chain left off.  A Clotho sorting at or before the
+    main chain's last Atropos is taken as already placed (the pipeline
+    checks that with ``check_prefix`` first), so repeated calls are
+    idempotent.
     """
-    done = set(order.main_chain)
-    fresh = sorted(
-        (c for c in clothos if c not in done),
-        key=lambda c: sort_vertex_key(chain, layering, c),
-    )
+
+    def key(c: EventId):
+        return sort_vertex_key(chain, layering, c)
+
+    fresh = sorted(clothos, key=key)
+    if order.atropos:
+        last = key(order.atropos[-1].clotho.root)
+        fresh = [c for c in fresh if key(c) > last]
     new_records = []
     pos = len(order.atropos)
     for c in fresh:

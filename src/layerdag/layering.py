@@ -57,7 +57,6 @@ class LayeringState:
     """Mutable state carried across online layering calls."""
 
     layering: Layering = field(default_factory=Layering)
-    settled: set[EventId] = field(default_factory=set)    # Z
 
 
 def max_width(n: int, w_p: float = 0.0, w_c: int = 0) -> Fraction:
@@ -215,7 +214,8 @@ def _diff_parents(
     state: LayeringState, diff: DiffGraph
 ) -> dict[EventId, list[EventId]]:
     new_set = set(diff.new_vertices)
-    overlap = new_set & state.settled
+    # layers are never reassigned: every layered vertex is settled
+    overlap = {v for v in new_set if v in state.layering.phi}
     if overlap:
         raise OverlapWithSettled(
             ",".join(v.hex()[:12] for v in sorted(overlap))
@@ -273,7 +273,6 @@ def layer_lpl_online(
             (state.layering.phi[p] for p in parents[v]), default=0
         )
         state.layering.assign(v, layer)
-        state.settled.add(v)
     return state
 
 
@@ -296,5 +295,4 @@ def layer_cg_online(
         if len(state.layering.layers.get(target, ())) >= width:
             target = max(state.layering.height, target) + 1
         state.layering.assign(v, target)
-        state.settled.add(v)
     return state

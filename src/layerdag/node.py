@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .events import EventBlock, EventId, NodeId, make_event, make_leaf
 from .finality import (
-    ClothoCache,
+    ClothoDecisions,
     ClothoRecord,
     FinalOrder,
     check_prefix,
@@ -41,7 +42,7 @@ from .layering import (
     layer_lpl_online,
     max_width,
 )
-from .roots import RootGraphEngine, quorum
+from .roots import RootChanges, RootGraph, RootGraphEngine, quorum
 
 log = logging.getLogger(__name__)
 
@@ -60,6 +61,9 @@ DEFAULT_SETTLE_SLACK = 4
 # always run once more when a node quiesces, so the cadence trades steady
 # progress reporting for speed without touching outcomes.
 PIPELINE_CADENCE = 4
+
+# sorts after every (layer, lamport, id) key: "no pool position"
+END = (math.inf,)
 
 
 class ConfirmationStage(IntEnum):
@@ -173,9 +177,15 @@ class NodeState:
         self.chain = Chain()
         self.lstate = LayeringState(Layering())
         self.engine = RootGraphEngine(n)
-        self.clothos: dict[EventId, ClothoRecord] = {}
-        self._clotho_cache: ClothoCache = {}
+        self._decisions = ClothoDecisions()
+        self.clothos: dict[EventId, ClothoRecord] = self._decisions.clothos
         self.order = FinalOrder()
+        # emission pool: sort keys of the non-victim roots with frame at
+        # most ``_horizon``, ascending; ``_scan_stop`` is the key the last
+        # emission scan stopped at (END: it reached the end of the pool)
+        self._pool: list[tuple] = []
+        self._horizon = 0
+        self._scan_stop: tuple = END
         # fork members kept out of consensus: the chain's own set
         self.victims: set[EventId] = self.chain.fork_victims()
         self._victims_applied: set[EventId] = set()
@@ -190,6 +200,7 @@ class NodeState:
         self.tx_queue: list[bytes] = []
         self.stages: dict[bytes, ConfirmationStage] = {}
         self.final_positions: dict[bytes, int] = {}
+        self._unfinalized: set[bytes] = set()  # payloads of tx_event not yet final
 
         # peer-selection bookkeeping
         self.syncs_initiated: dict[NodeId, int] = {p: 0 for p in range(n) if p != node_id}
@@ -254,6 +265,7 @@ class NodeState:
         if payload:
             self.tx_event[payload] = e.id
             self.stages[payload] = ConfirmationStage.BATCHED
+            self._unfinalized.add(payload)
         return e
 
     # -- ingest ----------------------------------------------------------
@@ -408,7 +420,13 @@ class NodeState:
     # -- consensus pipeline ------------------------------------------------
 
     def run_pipeline(self) -> None:
-        """Advance layering, roots, Clotho/Atropos, and the final order."""
+        """Advance layering, roots, Clotho/Atropos, and the final order.
+
+        A run redoes only what the root graph's changes since the previous
+        run can affect: layers and ancestor masks never change once set,
+        ``settled`` never decreases, and a root's Clotho decision depends
+        only on the members of frames ``a+1`` and ``a+3``.
+        """
         if self._fresh:
             diff = self._diff_graph(self._fresh)
             if self.layering_algo == "cg":
@@ -432,67 +450,113 @@ class NodeState:
             self._victims_applied |= new_victims
             self._fresh = []
         rg = self.engine.graph
-        frames = rg.frame_members()
+        changes = self.engine.take_changes()
         self.clothos = select_clothos(
-            self.chain,
-            rg,
-            self.n,
-            self._clotho_cache,
-            frames=frames,
+            self.chain, rg, self.n, self._decisions, changes
         )
-        horizon = max(frames, default=0) - 3 - FINALITY_MARGIN
+        # the scan picks up at the first pool position whose outcome may
+        # have changed; every earlier position keeps its outcome, so the
+        # main chain up to there is still the eligible prefix
+        start = min(self._update_pool(rg, changes), self._scan_stop)
+        kept = bisect_left(
+            self.order.atropos, start, key=lambda a: self._key(a.clotho.root)
+        )
+        eligible, self._scan_stop = self._scan(rg, bisect_left(self._pool, start))
+        emitted = [a.clotho.root for a in self.order.atropos[kept:]]
+        check_prefix(emitted, eligible)
+        fresh = select_atropos(
+            self.chain,
+            self.lstate.layering,
+            {c: self.clothos[c] for c in eligible[len(emitted):]},
+            self.order,
+        )
+        appended = topo_sort_finalize(
+            self.chain, self.lstate.layering, self.order, fresh
+        )
+        self._update_stages(changes, appended)
+
+    def _key(self, v: EventId) -> tuple:
+        return sort_vertex_key(self.chain, self.lstate.layering, v)
+
+    def _update_pool(self, rg: RootGraph, changes: RootChanges) -> tuple:
+        """Bring the pool up to date with ``changes`` and the new horizon.
+
+        Returns the smallest key of a root that joined or left the pool
+        or whose Clotho decision was redone, or END.
+        """
+        pool, dirty = self._pool, []
+        old, horizon = self._horizon, rg.max_frame - 3 - FINALITY_MARGIN
+
+        def remove(r: EventId) -> None:
+            k = self._key(r)
+            i = bisect_left(pool, k)
+            if i < len(pool) and pool[i] == k:
+                del pool[i]
+                dirty.append(k)
+
+        def insert(r: EventId) -> None:
+            k = self._key(r)
+            i = bisect_left(pool, k)
+            if (i == len(pool) or pool[i] != k) and r not in self.victims:
+                pool.insert(i, k)
+                dirty.append(k)
+
+        for rec in changes.dropped:
+            if rec.frame <= old:
+                remove(rec.event)
+        for f in range(horizon + 1, old + 1):
+            for r in rg.frames.get(f, ()):
+                remove(r)
+        for r in changes.added:
+            if rg.roots[r].frame <= horizon:
+                insert(r)
+        for f in range(old + 1, horizon + 1):
+            for r in rg.frames.get(f, ()):
+                insert(r)
+        self._horizon = horizon
+        dirty.extend(
+            self._key(r)
+            for r in self._decisions.redecided
+            if rg.roots[r].frame <= horizon
+        )
+        return min(dirty, default=END)
+
+    def _scan(self, rg: RootGraph, begin: int) -> tuple[list[EventId], tuple]:
+        """Eligible roots of the pool from position ``begin`` on.
+
+        Emission is the decided prefix of the root pool in (layer,
+        lamport, id) order: a root that is still undecided blocks
+        everything sorting after it, or a late decision could splice
+        into an already emitted prefix.  Returns the eligible roots and
+        the key of the root the scan stopped at (END if none).
+        """
         settled = self.lstate.layering.height - self.settle_slack
         phi = self.lstate.layering.phi
-        # emission is the decided prefix of the root pool in (layer,
-        # lamport, id) order: a root that is still undecided blocks
-        # everything sorting after it, or a late decision could splice
-        # into an already emitted prefix
-        pool = sorted(
-            (
-                r
-                for r, rec in rg.roots.items()
-                if rec.frame <= horizon and r in phi and r not in self.victims
-            ),
-            key=lambda r: sort_vertex_key(self.chain, self.lstate.layering, r),
-        )
+        frames = rg.frames
         q = quorum(self.n)
         eligible = []
-        for r in pool:
-            if phi[r] > settled:
-                break
+        for k in self._pool[begin:]:
+            r = k[2]
+            if k[0] > settled:
+                return eligible, k
             rec = self.clothos.get(r)
             if rec is not None:
                 if phi[rec.nominator] > settled:
-                    break
+                    return eligible, k
                 eligible.append(r)
                 continue
             # undecided root: skip it as a permanent "no" only when the
             # frames holding its witnesses and nominators are settled, so
             # no replica can still flip the decision to "yes"
             a = rg.roots[r].frame
-            witness_frame = frames.get(a + 1, [])
-            if any(phi[w] > settled for w in witness_frame):
-                break
-            r_idx = self.chain.index_of(r)
-            wits = sum(
-                1
-                for w in witness_frame
-                if self.chain.ancestor_mask(w) >> r_idx & 1
-            )
-            if wits < q:
+            if any(phi[w] > settled for w in frames.get(a + 1, ())):
+                return eligible, k
+            if self._decisions.reach[r] < q:
                 continue
-            if all(phi[x] <= settled for x in frames.get(a + 3, [])):
+            if all(phi[x] <= settled for x in frames.get(a + 3, ())):
                 continue
-            break
-        check_prefix(self.order.main_chain, eligible)
-        fresh = select_atropos(
-            self.chain,
-            self.lstate.layering,
-            {c: self.clothos[c] for c in eligible},
-            self.order,
-        )
-        topo_sort_finalize(self.chain, self.lstate.layering, self.order, fresh)
-        self._update_stages()
+            return eligible, k
+        return eligible, END
 
     def _diff_graph(self, fresh: list[EventId]) -> DiffGraph:
         fresh_set = set(fresh)
@@ -503,31 +567,39 @@ class NodeState:
                 edges.append((eid, r))
         return DiffGraph(tuple(fresh_set), tuple(edges))
 
-    def _update_stages(self) -> None:
-        if not self.tx_event:
+    def _update_stages(self, changes: RootChanges, appended: list[EventId]) -> None:
+        """Raise the stages of the transactions not yet final.
+
+        Stages only rise, so covering each run's new roots and Clothos
+        gives the same stages as covering all of them: a root present at
+        an earlier run either was covered then or cannot reach the
+        transaction, whose event came after it.
+        """
+        if not self._unfinalized:
             return
-        roots = self.engine.graph.roots
-        final_pos = {e: i for i, e in enumerate(self.order.ordered_events)}
-        clotho_cover = 0
-        for c in self.clothos:
-            clotho_cover |= self.chain.ancestor_mask(c)
-        root_cover = 0
-        for r in roots:
-            root_cover |= self.chain.ancestor_mask(r)
-        for payload, eid in self.tx_event.items():
-            if eid in final_pos:
+        first = len(self.order.ordered_events) - len(appended)
+        for pos, eid in enumerate(appended, first):
+            payload = self.chain.get(eid).payload
+            if payload in self._unfinalized and self.tx_event[payload] == eid:
                 self.stages[payload] = ConfirmationStage.FINALIZED
-                self.final_positions[payload] = final_pos[eid]
-                continue
-            idx = self.chain.index_of(eid)
-            stage = self.stages[payload]
+                self.final_positions[payload] = pos
+                self._unfinalized.discard(payload)
+        root_cover = 0
+        for r in changes.added:
+            root_cover |= self.chain.ancestor_mask(r)
+        clotho_cover = 0
+        for c in self._decisions.redecided:
+            if c in self.clothos:
+                clotho_cover |= self.chain.ancestor_mask(c)
+        for payload in self._unfinalized:
+            idx = self.chain.index_of(self.tx_event[payload])
             if clotho_cover >> idx & 1:
                 new = ConfirmationStage.CLOTHO_CONFIRMED
             elif root_cover >> idx & 1:
                 new = ConfirmationStage.ROOT_CONFIRMED
             else:
                 new = ConfirmationStage.BATCHED
-            if new > stage:
+            if new > self.stages[payload]:
                 self.stages[payload] = new
 
     # -- global state estimate ----------------------------------------------

@@ -41,19 +41,34 @@ class RootGraph:
     edges: dict[EventId, tuple[EventId, ...]] = field(default_factory=dict)
     active: dict[NodeId, EventId] = field(default_factory=dict)
     order: list[EventId] = field(default_factory=list)  # promotion order
+    # frame -> its roots in promotion order; only non-empty frames appear
+    frames: dict[int, list[EventId]] = field(default_factory=dict)
 
     def edge_pairs(self) -> list[tuple[EventId, EventId]]:
         return [(u, v) for u, targets in self.edges.items() for v in targets]
 
     def frame_members(self) -> dict[int, list[EventId]]:
-        frames: dict[int, list[EventId]] = {}
-        for rid in self.order:
-            frames.setdefault(self.roots[rid].frame, []).append(rid)
-        return frames
+        """The frame partition the engine keeps; callers must not modify it."""
+        return self.frames
 
     @property
     def max_frame(self) -> int:
-        return max((r.frame for r in self.roots.values()), default=0)
+        return max(self.frames, default=0)
+
+
+@dataclass
+class RootChanges:
+    """How a root graph changed since a reader last took its changes.
+
+    ``added`` holds the roots present now that were not present then, or
+    were in another frame, in promotion order.  ``dropped`` holds the
+    records of the roots present then that are gone now or in another
+    frame.  ``frames`` holds every frame that gained or lost a member.
+    """
+
+    added: dict[EventId, None] = field(default_factory=dict)
+    dropped: list[RootRecord] = field(default_factory=list)
+    frames: set[int] = field(default_factory=set)
 
 
 class RootGraphEngine:
@@ -63,6 +78,12 @@ class RootGraphEngine:
     layering bottom-up, and when events arrive at a layer it has already
     passed, it rolls back to that layer's checkpoint and replays.  Replays
     are shallow in practice because syncs deliver near-top events.
+
+    The graph's frame partition is kept as the sweep goes: a promotion
+    appends to its frame's list, and since a rollback only drops the tail
+    of the promotion order, it only drops the tail of each frame's list.
+    What was promoted and dropped since the last ``take_changes()`` is
+    recorded, so a reader can redo only what depends on it.
     """
 
     def __init__(self, n: int) -> None:
@@ -75,6 +96,7 @@ class RootGraphEngine:
         self._processed_through = 0
         # checkpoint i: (active set, promotion count) after processing layer i
         self._checkpoints: dict[int, tuple[dict[NodeId, EventId], int]] = {}
+        self._changes = RootChanges()
 
     # -- frame assignment for one freshly promoted root ---------------
 
@@ -105,6 +127,8 @@ class RootGraphEngine:
     ) -> None:
         self.graph.roots[vid] = RootRecord(vid, frame, layer, creator)
         self.graph.order.append(vid)
+        self.graph.frames.setdefault(frame, []).append(vid)
+        self._changes.added[vid] = None
         if reached:
             self.graph.edges[vid] = reached
         idx = chain.index_of(vid)
@@ -116,27 +140,47 @@ class RootGraphEngine:
     def _rollback_to(self, layer: int) -> None:
         """Drop all decisions at layers > ``layer``."""
         self.generation += 1
-        if layer <= 0:
-            self.graph = RootGraph()
-            self._frame_masks = {}
-            self._bit = {}
-            self._processed_through = 0
-            self._checkpoints.clear()
-            return
-        active, count = self._checkpoints[layer]
-        dropped = self.graph.order[count:]
-        for rid in dropped:
-            rec = self.graph.roots.pop(rid)
-            self.graph.edges.pop(rid, None)
-            self._frame_masks[rec.frame] &= ~(1 << self._bit[rid])
+        layer = max(layer, 0)
+        active, count = self._checkpoints[layer] if layer else ({}, 0)
+        graph, changes = self.graph, self._changes
+        for rid in reversed(graph.order[count:]):
+            rec = graph.roots.pop(rid)
+            graph.edges.pop(rid, None)
+            # the dropped roots are the tail of the promotion order, so
+            # each one is the last member of its frame
+            members = graph.frames[rec.frame]
+            members.pop()
+            if not members:
+                del graph.frames[rec.frame]
+            self._frame_masks[rec.frame] &= ~(1 << self._bit.pop(rid))
             if not self._frame_masks[rec.frame]:
                 del self._frame_masks[rec.frame]
-        del self.graph.order[count:]
-        self.graph.active = dict(active)
-        self._checkpoints = {
-            l: cp for l, cp in self._checkpoints.items() if l <= layer
-        }
+            if rid in changes.added:
+                del changes.added[rid]  # never seen by the reader
+            else:
+                changes.dropped.append(rec)
+        del graph.order[count:]
+        graph.active = dict(active)
+        for l in range(layer + 1, self._processed_through + 1):
+            self._checkpoints.pop(l, None)
         self._processed_through = layer
+
+    def take_changes(self) -> RootChanges:
+        """What the graph gained and lost since the previous call.
+
+        A root that a rollback dropped and the replay promoted again into
+        the same frame counts as neither added nor dropped.
+        """
+        changes, self._changes = self._changes, RootChanges()
+        roots = self.graph.roots
+        back = {rec.event for rec in changes.dropped if roots.get(rec.event) == rec}
+        if back:
+            changes.dropped = [r for r in changes.dropped if r.event not in back]
+            for rid in back:
+                del changes.added[rid]
+        changes.frames = {roots[rid].frame for rid in changes.added}
+        changes.frames.update(rec.frame for rec in changes.dropped)
+        return changes
 
     def _process_layer(
         self, chain: Chain, layer: int, members: list[EventId], exclude: frozenset

@@ -40,3 +40,25 @@ def random_chain(
 def chain_blocks(chain: Chain) -> list[EventBlock]:
     """The chain's blocks in their (causal) insertion order."""
     return list(chain.in_insertion_order())
+
+
+def causal_shuffle(
+    chain: Chain, rng: random.Random, window: int | None = None
+) -> list[EventBlock]:
+    """The chain's blocks in a random order that keeps refs first.
+
+    Streaming a chain this way makes late events land below layers an
+    online consumer has already passed, as delayed messages do.  With a
+    ``window``, each pick is among the first ``window`` blocks left in
+    insertion order, which bounds how late a block can arrive.
+    """
+    remaining = list(chain.in_insertion_order())
+    done: set = set()
+    out = []
+    while remaining:
+        ready = [e for e in remaining[:window] if all(r in done for r in e.refs)]
+        e = rng.choice(ready)
+        remaining.remove(e)
+        done.add(e.id)
+        out.append(e)
+    return out

@@ -244,6 +244,46 @@ def test_diff_events_returns_exactly_whats_missing():
         seen.add(e.id)
 
 
+def filtered_diff(chain, remote):
+    """Every event at or past the remote's per-creator count, by scan."""
+    out = [
+        e
+        for e in chain.events.values()
+        if e.creation_seq >= remote.get(e.creator, 0)
+    ]
+    return sorted(out, key=lambda e: e.sort_key())
+
+
+def test_diff_events_matches_the_filter_over_every_event():
+    chain = Chain()
+    leaves = [make_leaf(c) for c in range(3)]
+    for leaf in leaves:
+        chain.insert(leaf)
+    # creator 0 forks at seq 1, and one branch goes on to seq 3
+    fa, fb = two_branch_fork(chain, 0, leaves[0], (leaves[1],))
+    fa2 = make_event(0, fa, (leaves[2],), payload=b"a2")
+    chain.insert(fa2)
+    chain.insert(make_event(0, fa2, (), payload=b"a3"))
+    chain.insert(make_event(1, leaves[1], (fb,), payload=b"b1"))
+    assert len(chain.by_seq[(0, 1)]) == 2
+    remotes = [
+        {},  # a remote that has seen no creator
+        {0: 1, 1: 1},  # the forked seq and creator 2 unseen
+        {0: 2, 1: 0, 2: 1},
+        {0: 4, 1: 2, 2: 1},  # at the end of every chain
+        {0: 9, 1: 5, 2: 7},  # past the end
+        {0: -1, 5: 3},  # a negative count and a creator the chain lacks
+    ]
+    for remote in remotes:
+        got = chain.diff_events(remote)
+        assert got == filtered_diff(chain, remote), remote
+    rng = random.Random("diff-filter")
+    chain = random_chain(rng, 5, 60)
+    for _ in range(20):
+        remote = {c: rng.randint(0, 15) for c in rng.sample(range(5), 3)}
+        assert chain.diff_events(remote) == filtered_diff(chain, remote)
+
+
 def test_closure_of_is_ancestor_closed_and_ordered():
     rng = random.Random("closure")
     chain = random_chain(rng, 4, 30)

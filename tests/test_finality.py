@@ -1,11 +1,15 @@
 """Clotho decisions, Atropos ordering, and final-order emission."""
 
+import random
+
 import pytest
 
 from layerdag.chain import Chain
 from layerdag.errors import ConsensusInvariantError, UnlayeredVertex
 from layerdag.events import make_event, make_leaf
+from chaingen import causal_shuffle, random_chain
 from layerdag.finality import (
+    ClothoDecisions,
     FinalOrder,
     check_prefix,
     select_atropos,
@@ -14,9 +18,9 @@ from layerdag.finality import (
     topo_sort_finalize,
 )
 from layerdag.layering import layer_lpl
-from layerdag.roots import build_root_graph, quorum
+from layerdag.roots import RootGraphEngine, build_root_graph, quorum
 
-from test_roots import round_robin_chain
+from test_roots import round_robin_chain, stream_into_engine
 
 
 def pipeline(chain, n):
@@ -184,12 +188,42 @@ def test_sort_vertex_key_requires_layer():
         sort_vertex_key(chain, layer_lpl(Chain()), leaf.id)
 
 
-def test_clotho_cache_reuse_is_transparent():
+@pytest.mark.parametrize(
+    "make_chain, decided_at_least",
+    [
+        (lambda rng: round_robin_chain(4, 12), 30),
+        (lambda rng: random_chain(rng, 4, 150, k=4), 1),
+    ],
+    ids=["round-robin", "random"],
+)
+def test_incremental_select_clothos_equals_batch(make_chain, decided_at_least):
+    # a causally shuffled stream rolls the engine back on most updates
+    rng = random.Random("incremental-clothos")
+    chain = make_chain(rng)
+    kept = ClothoDecisions()
+    for replay, engine, _, _ in stream_into_engine(causal_shuffle(chain, rng), 4):
+        rg = engine.graph
+        got = select_clothos(replay, rg, 4, kept, engine.take_changes())
+        batch = ClothoDecisions()
+        assert got == select_clothos(replay, rg, 4, batch)
+        assert kept.reach == batch.reach
+    assert engine.generation > 10
+    assert len(got) >= decided_at_least
+
+
+def test_incremental_select_clothos_forgets_a_root_that_left():
+    # a Clotho whose root turns out to be a fork member leaves the graph
     chain = round_robin_chain(4, 10)
     layering = layer_lpl(chain)
-    rg = build_root_graph(chain, layering, 4)
-    cache = {}
-    first = select_clothos(chain, rg, 4, cache)
-    second = select_clothos(chain, rg, 4, cache)
-    assert first == second
-    assert first == select_clothos(chain, rg, 4)  # no cache at all
+    engine = RootGraphEngine(4)
+    engine.update(chain, layering, list(layering.phi))
+    kept = ClothoDecisions()
+    clothos = select_clothos(chain, engine.graph, 4, kept, engine.take_changes())
+    victim = next(r for r, rec in clothos.items() if rec.frame == 2)
+    engine.update(chain, layering, [victim], exclude=frozenset({victim}))
+    got = select_clothos(chain, engine.graph, 4, kept, engine.take_changes())
+    assert victim not in engine.graph.roots
+    assert victim not in got and victim not in kept.reach
+    batch = ClothoDecisions()
+    assert got == select_clothos(chain, engine.graph, 4, batch)
+    assert kept.reach == batch.reach

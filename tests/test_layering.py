@@ -8,7 +8,7 @@ import pytest
 
 from chaingen import random_chain
 from layerdag.chain import Chain
-from layerdag.errors import InvalidWidth, UnlayeredDependency
+from layerdag.errors import InvalidWidth, OverlapWithSettled, UnlayeredDependency
 from layerdag.events import make_event, make_leaf
 from layerdag.layering import (
     DiffGraph,
@@ -247,3 +247,21 @@ def test_online_lpl_rejects_unlayered_dependency():
     diff = DiffGraph((b.id,), ((b.id, a.id),))
     with pytest.raises(UnlayeredDependency):
         layer_lpl_online(state, diff, chain)
+
+
+@pytest.mark.parametrize("online", ["lpl", "cg"])
+def test_online_layering_rejects_an_already_layered_vertex(online):
+    chain = Chain()
+    a = make_leaf(0)
+    chain.insert(a)
+    b = make_event(0, a, ())
+    chain.insert(b)
+    state = LayeringState(Layering())
+    layer = {
+        "lpl": lambda diff: layer_lpl_online(state, diff, chain),
+        "cg": lambda diff: layer_cg_online(state, 4, diff, chain),
+    }[online]
+    layer(DiffGraph((a.id,), ()))
+    with pytest.raises(OverlapWithSettled):
+        layer(DiffGraph((a.id, b.id), ((b.id, a.id),)))
+    assert state.layering.phi == {a.id: 1}

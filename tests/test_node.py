@@ -4,10 +4,14 @@ import random
 
 import pytest
 
+from chaingen import causal_shuffle, random_chain
+from layerdag import simnet
 from layerdag.errors import IncompleteCoverage, UnknownTransaction
 from layerdag.events import make_event, make_leaf
+from layerdag.finality import ClothoRecord, sort_vertex_key
 from layerdag.layering import layer_lpl
 from layerdag.node import (
+    FINALITY_MARGIN,
     Broadcast,
     ConfirmationStage,
     Envelope,
@@ -18,7 +22,7 @@ from layerdag.node import (
     SyncRequest,
     SyncResponse,
 )
-from layerdag.roots import build_root_graph
+from layerdag.roots import build_root_graph, quorum
 
 
 def fresh_node(node_id=0, n=4, **kw):
@@ -313,3 +317,186 @@ def test_stage_progression_is_monotone():
     for prev, cur in zip(history, history[1:]):
         assert cur >= prev
     assert history[-1] == ConfirmationStage.FINALIZED
+
+
+# -- the incremental pipeline against a from-scratch oracle -------------------
+
+
+def oracle_decide(chain, frames, rid, a, q):
+    """One root's Clotho decision, recomputed from the whole frames."""
+    witness_pool = frames.get(a + 1, [])
+    cand_idx = chain.index_of(rid)
+    reaching = [w for w in witness_pool if chain.ancestor_mask(w) >> cand_idx & 1]
+    if len(reaching) < q:
+        return None
+    positions = {chain.index_of(w): w for w in reaching}
+    reaching_mask = 0
+    for i in positions:
+        reaching_mask |= 1 << i
+    for nom in sorted(frames.get(a + 3, ()), key=lambda x: chain.get(x).sort_key()):
+        seen = chain.ancestor_mask(nom) & reaching_mask
+        if seen.bit_count() >= q:
+            witnesses = frozenset(positions[i] for i in positions if seen >> i & 1)
+            return ClothoRecord(rid, a, nom, witnesses)
+    return None
+
+
+def oracle_pipeline(node):
+    """Clothos and eligible main chain from scratch over the node's state.
+
+    Rebuilds the frame partition from the promotion order, decides every
+    root, sorts the whole root pool and scans it from the start.
+    """
+    chain, rg, layering = node.chain, node.engine.graph, node.lstate.layering
+    frames = {}
+    for rid in rg.order:
+        frames.setdefault(rg.roots[rid].frame, []).append(rid)
+    q = quorum(node.n)
+    clothos = {}
+    for rid, rec in rg.roots.items():
+        found = oracle_decide(chain, frames, rid, rec.frame, q)
+        if found:
+            clothos[rid] = found
+    horizon = max(frames, default=0) - 3 - FINALITY_MARGIN
+    settled = layering.height - node.settle_slack
+    phi = layering.phi
+    pool = sorted(
+        (
+            r
+            for r, rec in rg.roots.items()
+            if rec.frame <= horizon and r in phi and r not in node.victims
+        ),
+        key=lambda r: sort_vertex_key(chain, layering, r),
+    )
+    eligible = []
+    for r in pool:
+        if phi[r] > settled:
+            break
+        rec = clothos.get(r)
+        if rec is not None:
+            if phi[rec.nominator] > settled:
+                break
+            eligible.append(r)
+            continue
+        a = rg.roots[r].frame
+        witness_frame = frames.get(a + 1, [])
+        if any(phi[w] > settled for w in witness_frame):
+            break
+        r_idx = chain.index_of(r)
+        wits = sum(1 for w in witness_frame if chain.ancestor_mask(w) >> r_idx & 1)
+        if wits < q:
+            continue
+        if all(phi[x] <= settled for x in frames.get(a + 3, [])):
+            continue
+        break
+    return clothos, eligible
+
+
+def oracle_stages(node, stages, clothos):
+    """Stages after one run from the stages before it, covering everything."""
+    stages, positions = dict(stages), dict(node.final_positions)
+    final_pos = {e: i for i, e in enumerate(node.order.ordered_events)}
+    clotho_cover = 0
+    for c in clothos:
+        clotho_cover |= node.chain.ancestor_mask(c)
+    root_cover = 0
+    for r in node.engine.graph.roots:
+        root_cover |= node.chain.ancestor_mask(r)
+    for payload, eid in node.tx_event.items():
+        if eid in final_pos:
+            stages[payload] = ConfirmationStage.FINALIZED
+            positions[payload] = final_pos[eid]
+            continue
+        idx = node.chain.index_of(eid)
+        if clotho_cover >> idx & 1:
+            new = ConfirmationStage.CLOTHO_CONFIRMED
+        elif root_cover >> idx & 1:
+            new = ConfirmationStage.ROOT_CONFIRMED
+        else:
+            new = ConfirmationStage.BATCHED
+        stages[payload] = max(stages[payload], new)
+    return stages, positions
+
+
+def run_against_oracle(node, run_pipeline):
+    """Run the pipeline and check it against the oracle."""
+    before = dict(node.stages)
+    run_pipeline(node)
+    clothos, eligible = oracle_pipeline(node)
+    assert node.clothos == clothos
+    assert node.order.main_chain == eligible
+    stages, positions = oracle_stages(node, before, clothos)
+    assert node.stages == stages
+    assert node.final_positions == positions
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        simnet.SimConfig(
+            n=5, steps=300, seed="oracle/rand", delay_model="rand", delay_arg=3
+        ),
+        simnet.SimConfig(
+            n=7,
+            steps=160,
+            seed="oracle/f2",
+            delay_model="reorder",
+            delay_arg=2,
+            byzantine={5: "forker", 6: "forker"},
+        ),
+        simnet.SimConfig(
+            n=7, steps=160, seed="oracle/eq", byzantine={6: "equivocator"}
+        ),
+        simnet.SimConfig(
+            n=5,
+            steps=240,
+            seed="oracle/cg",
+            layering_algo="cg",
+            width=6,
+            k=2,
+            strategy=PeerStrategy.FAIR,
+            delay_model="rand",
+            delay_arg=1,
+        ),
+    ],
+    ids=["rand3", "reorder-forkers", "equivocator", "cg"],
+)
+def test_incremental_pipeline_matches_from_scratch_oracle(cfg, monkeypatch):
+    incremental = NodeState.run_pipeline
+    runs = []
+
+    def checked(node):
+        run_against_oracle(node, incremental)
+        runs.append(node.engine.generation)
+
+    monkeypatch.setattr(NodeState, "run_pipeline", checked)
+    txs = {
+        nid: [b"tx/%d/%d" % (nid, i) for i in range(cfg.steps)] for nid in range(cfg.n)
+    }
+    result = simnet.run(cfg, transactions=txs)
+    honest = list(result.nodes.values())
+    assert len(runs) > cfg.steps
+    assert sum(node.engine.generation for node in honest) > len(runs) // 2
+    assert all(node.order.ordered_events for node in honest)
+    assert all(
+        ConfirmationStage.FINALIZED in node.stages.values() for node in honest
+    )
+
+
+def test_incremental_pipeline_matches_oracle_on_shuffled_streams():
+    # events arriving slightly out of order lower the top frame now and
+    # then, which moves the emission horizon down
+    falls = finalized = 0
+    for seed in range(8):
+        rng = random.Random(f"oracle-stream/{seed}")
+        n = rng.randint(3, 5)
+        chain = random_chain(rng, n, 150, k=n)
+        node = NodeState(0, n, seed="oracle-stream", settle_slack=2)
+        for e in causal_shuffle(chain, rng, window=3):
+            node.ingest_events([e])
+            top = node.engine.graph.max_frame
+            run_against_oracle(node, NodeState.run_pipeline)
+            falls += node.engine.graph.max_frame < top and top > 3 + FINALITY_MARGIN
+        finalized += len(node.order.ordered_events)
+    assert falls >= 20
+    assert finalized >= 300

@@ -4,11 +4,17 @@ import random
 
 import pytest
 
-from chaingen import random_chain
+from chaingen import causal_shuffle, random_chain
 from layerdag.chain import Chain
 from layerdag.errors import MissingLayering
 from layerdag.events import make_event, make_leaf
-from layerdag.layering import Layering, LayeringState, layer_lpl, layer_lpl_online
+from layerdag.layering import (
+    DiffGraph,
+    Layering,
+    LayeringState,
+    layer_lpl,
+    layer_lpl_online,
+)
 from layerdag.roots import RootGraphEngine, build_root_graph, quorum
 
 
@@ -129,8 +135,6 @@ def test_engine_incremental_equals_batch():
     replay = Chain()
     state = LayeringState(Layering())
     engine = RootGraphEngine(5)
-    from layerdag.layering import DiffGraph
-
     for e in blocks:
         replay.insert(e)
         diff = DiffGraph((e.id,), tuple((e.id, r) for r in e.refs))
@@ -186,3 +190,77 @@ def test_engine_requires_layered_events():
     engine = RootGraphEngine(2)
     with pytest.raises(MissingLayering):
         engine.update(chain, Layering(), [leaf.id])
+
+
+def rebuilt_partition(rg):
+    frames = {}
+    for rid in rg.order:
+        frames.setdefault(rg.roots[rid].frame, []).append(rid)
+    return frames
+
+
+def stream_into_engine(blocks, n):
+    """Feed blocks to an engine one at a time, online-layered.
+
+    Yields (chain so far, engine, frame members before, roots before)
+    after every update.
+    """
+    replay = Chain()
+    state = LayeringState(Layering())
+    engine = RootGraphEngine(n)
+    for e in blocks:
+        replay.insert(e)
+        diff = DiffGraph((e.id,), tuple((e.id, r) for r in e.refs))
+        layer_lpl_online(state, diff, replay)
+        before = {f: set(m) for f, m in engine.graph.frames.items()}
+        roots_before = dict(engine.graph.roots)
+        engine.update(replay, state.layering, [e.id])
+        yield replay, engine, before, roots_before
+
+
+@pytest.mark.parametrize("seed", ["a", "b", "c"])
+def test_kept_partition_and_changes_track_promotions_and_rollbacks(seed):
+    rng = random.Random(f"kept-partition/{seed}")
+    chain = random_chain(rng, 5, 90)
+    generations = set()
+    for replay, engine, before, roots_before in stream_into_engine(
+        causal_shuffle(chain, rng), 5
+    ):
+        rg = engine.graph
+        changes = engine.take_changes()
+        generations.add(engine.generation)
+        # the kept partition is the one rebuilt from the promotion order
+        assert rg.frame_members() == rebuilt_partition(rg)
+        # the changes are exactly what differs from the graph before
+        after = {f: set(m) for f, m in rg.frames.items()}
+        differ = {
+            f for f in before.keys() | after.keys() if before.get(f) != after.get(f)
+        }
+        assert changes.frames == differ
+        assert set(changes.added) == {
+            r for r, rec in rg.roots.items() if roots_before.get(r) != rec
+        }
+        assert set(changes.dropped) == {
+            rec for r, rec in roots_before.items() if rg.roots.get(r) != rec
+        }
+    assert len(generations) > 10  # the stream rolled the engine back often
+    batch = build_root_graph(chain, layer_lpl(chain), 5)
+    assert engine.graph.frame_members() == rebuilt_partition(batch)
+
+
+def test_rollback_below_every_layer_keeps_the_partition():
+    # a late leaf (layer 1) sends the engine back to the start; the
+    # replay promotes every earlier root again into the same frame
+    n = 5
+    chain = round_robin_chain(4, 3)
+    late = make_leaf(4)
+    blocks = list(chain.in_insertion_order()) + [late]
+    for _, engine, before, roots_before in stream_into_engine(blocks, n):
+        generation = engine.generation
+        changes = engine.take_changes()
+    assert engine.generation == generation > 0
+    assert engine.graph.frame_members() == rebuilt_partition(engine.graph)
+    assert roots_before.items() <= engine.graph.roots.items()
+    assert list(changes.added) == [late.id]
+    assert changes.dropped == []
+    assert changes.frames == {1}
