@@ -8,7 +8,8 @@ enough to run inside the consensus pipeline on every step.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from bisect import bisect_left, insort
+from typing import AbstractSet, Iterable, Iterator
 
 from .errors import (
     DuplicateEvent,
@@ -27,6 +28,12 @@ class Chain:
 
     Events are immutable once inserted.  The structure is safe to share
     read-only; mutation is single-writer.
+
+    A creator is forked once it has two concurrent events (neither a
+    self-ancestor of the other).  Only then does the chain keep its
+    events' (lamport, id) keys and ids sorted, so each later insert marks
+    fork victims and finds rivals by bisection instead of pairing the new
+    event with the creator's whole self-chain.
     """
 
     def __init__(self) -> None:
@@ -43,6 +50,10 @@ class Chain:
         self._self_anc: dict[EventId, int] = {}
         # per-creator self-chain tips: events with no same-creator child
         self._tips: dict[NodeId, set[EventId]] = {}
+        # per forked creator, built at its first fork: the sort keys and
+        # the ids of its events, each list ascending
+        self._fork_keys: dict[NodeId, list[tuple[int, EventId]]] = {}
+        self._fork_ids: dict[NodeId, list[EventId]] = {}
         # later-by-(lamport, id) member of every fork pair seen so far
         self._fork_victims: set[EventId] = set()
 
@@ -119,11 +130,13 @@ class Chain:
                 f"{e.short()} claims lamport {e.lamport_ts}, expected {expected}"
             )
 
-    def insert(self, e: EventBlock) -> list[tuple[EventId, EventId]]:
-        """Insert a validated event; returns any new fork pairs it creates.
+    def insert(self, e: EventBlock) -> list[EventId]:
+        """Insert a validated event; returns ``[e.id]`` if it joins a fork.
 
-        A fork pair is two events by the same creator, neither a
-        self-ancestor of the other.  Honest creators never produce one.
+        ``e`` joins a fork when an event of its creator already in the
+        chain is concurrent with it, which honest creators never cause.
+        Each such insert is reported once, so the return value counts
+        fork members, not fork pairs; ``[]`` means no fork was touched.
         """
         self._validate(e)
         idx = len(self._order)
@@ -145,7 +158,7 @@ class Chain:
         tips = self._tips.setdefault(e.creator, set())
         # extending the creator's sole tip cannot create a fork; anything
         # else (second leaf, stale self parent, or an already-forked
-        # creator) needs the concurrency scan
+        # creator) makes e concurrent with another tip or a sibling
         if e.is_leaf:
             clean = not tips
         else:
@@ -155,14 +168,27 @@ class Chain:
 
         if clean:
             return []
-        # slow path: the self parent already had another child (or a
-        # second leaf appeared); every pair found holds the new event, so
-        # none of them was reported before
-        new_pairs = self._pairs_with(e.id, self.by_creator[e.creator][:-1])
-        for a, b in new_pairs:
-            later = b if self.events[b].sort_key() > self.events[a].sort_key() else a
-            self._fork_victims.add(later)
-        return new_pairs
+
+        keys = self._fork_keys.get(e.creator)
+        if keys is None:
+            # a forked creator keeps more than one tip for good, so every
+            # later insert of it comes here too
+            older = self.by_creator[e.creator][:-1]
+            keys = sorted(self.events[x].sort_key() for x in older)
+            self._fork_keys[e.creator] = keys
+            self._fork_ids[e.creator] = sorted(older)
+        key = e.sort_key()
+        i = bisect_left(keys, key)
+        # e's creation_seq self-ancestors sort before it, and every other
+        # event of its creator is concurrent with it (none is above it
+        # yet): e is the later of a pair iff more events sort before it,
+        # and each event sorting after it is the later of its pair with e
+        if i > e.creation_seq:
+            self._fork_victims.add(e.id)
+        keys.insert(i, key)
+        self._fork_victims.update(k[1] for k in keys[i + 1:])
+        insort(self._fork_ids[e.creator], e.id)
+        return [e.id]
 
     def _self_related(self, x: EventId, y: EventId) -> bool:
         return (
@@ -221,7 +247,9 @@ class Chain:
             raise UnknownEvent(v.hex())
         return self.ids_from_mask(self.ancestor_mask(v))
 
-    def top_event(self, creator: NodeId, avoid: frozenset = frozenset()) -> EventId | None:
+    def top_event(
+        self, creator: NodeId, avoid: AbstractSet[EventId] = frozenset()
+    ) -> EventId | None:
         """Canonical tip of a creator's self-chain.
 
         With forks present there may be several tips; the canonical one is
@@ -247,9 +275,11 @@ class Chain:
     def detect_forks(self) -> list[tuple[EventId, EventId]]:
         """All same-creator concurrent pairs, each ordered by id.
 
-        Computed on each call, not stored.  Only a creator with more than
-        one self-chain tip has concurrent events: two events below one tip
-        are both its self-ancestors, so one is a self-ancestor of the other.
+        Computed on each call, not stored: this O(L^2) scan is the
+        reference that ``insert``'s fork bookkeeping must agree with.  Only
+        a creator with more than one self-chain tip has concurrent events:
+        two events below one tip are both its self-ancestors, so one is a
+        self-ancestor of the other.
         """
         pairs: list[tuple[EventId, EventId]] = []
         for creator, ids in self.by_creator.items():
@@ -263,10 +293,30 @@ class Chain:
 
         This is a pure function of chain content, so any two nodes with
         the same chain exclude the same events from consensus.  The
-        returned set is the chain's own, kept current by ``insert``;
+        returned set is the chain's own, kept current by ``insert`` from
+        each forked creator's sorted keys without listing any pair;
         callers must not modify it.
         """
         return self._fork_victims
+
+    def first_rival(self, y: EventId) -> EventId:
+        """Smallest-id event concurrent with ``y``, which joined a fork."""
+        return next(
+            x
+            for x in self._fork_ids[self.events[y].creator]
+            if x != y and not self._self_related(x, y)
+        )
+
+    def concurrent_in(self, y: EventId, mask: int) -> list[EventId]:
+        """Events of ``mask`` concurrent with ``y``, in no set order.
+
+        ``mask`` is a bitmask over insertion indices holding only events
+        of ``y``'s creator; dropping ``y`` and its self-ancestors with one
+        mask operation leaves only ``y``'s self-descendants to skip.
+        """
+        bit = self._index[y]
+        rest = self.ids_from_mask(mask & ~(self._self_anc[y] | 1 << bit))
+        return [x for x in rest if not self._self_anc[x] >> bit & 1]
 
     # -- sync support ---------------------------------------------------
 

@@ -211,7 +211,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
     chain = _load_chain(args.chain)
     layering = layer_lpl(chain)
     n = max(chain.creators()) + 1
-    rg = build_root_graph(chain, layering, n, frozenset(chain.fork_victims()))
+    rg = build_root_graph(chain, layering, n, chain.fork_victims())
     for line in chainio.roots_lines(chain, rg):
         print(line)
     return EXIT_OK

@@ -141,7 +141,7 @@ class IngestReport:
     buffered: list[EventId] = field(default_factory=list)
     quarantined: list[EventId] = field(default_factory=list)
     rejected: list[tuple[EventId, str]] = field(default_factory=list)
-    fork_pairs: list[tuple[EventId, EventId]] = field(default_factory=list)
+    fork_members: list[EventId] = field(default_factory=list)  # accepted, joined a fork
 
 
 class NodeState:
@@ -191,8 +191,14 @@ class NodeState:
         self._victims_applied: set[EventId] = set()
         self.quarantine: dict[EventId, EventBlock] = {}
         self.pending: dict[EventId, EventBlock] = {}  # missing parents
+        # fork notice bookkeeping until the next flush in ``step``: pairs
+        # named by received notices, and events that joined a fork
         self._notice_queue: list[tuple[EventId, EventId]] = []
+        self._fork_members: list[EventId] = []
         self._announced: set[EventId] = set()  # fork members already announced
+        # per creator that forked here: bitmask over chain indices of its
+        # events not in ``_announced``
+        self._unannounced: dict[NodeId, int] = {}
         self.outbox: list[Envelope] = []
 
         # transaction tracking: payload -> (event id or None, stage)
@@ -222,18 +228,26 @@ class NodeState:
     # -- event creation ---------------------------------------------------
 
     def _insert(self, e: EventBlock, report: IngestReport | None = None) -> None:
-        pairs = self.chain.insert(e)
+        joined = self.chain.insert(e)
         self._fresh.append(e.id)
         if report is not None:
             report.accepted.append(e.id)
-        self._notice_queue.extend(pairs)
-        if report is not None:
-            report.fork_pairs.extend(pairs)
+            report.fork_members.extend(joined)
+        if joined:
+            self._fork_members.append(e.id)
+            c = e.creator
+            # the creator's first fork member brings its older events in
+            fresh = joined if c in self._unannounced else self.chain.by_creator[c]
+            mask = self._unannounced.get(c, 0)
+            for x in fresh:
+                if x not in self._announced:
+                    mask |= 1 << self.chain.index_of(x)
+            self._unannounced[c] = mask
 
     def create_event(self) -> EventBlock:
         """Emit one event over the freshest non-victim tips."""
         payload = self.tx_queue.pop(0) if self.tx_queue else b""
-        avoid = frozenset(self.victims)
+        avoid = self.victims
         self_parent = self.chain.top_event(self.id, avoid)
         if self_parent is None:
             e = make_leaf(self.id, payload)
@@ -417,6 +431,43 @@ class NodeState:
         else:  # pragma: no cover - exhaustive above
             log.warning("unknown message %r", msg)
 
+    def _take_notices(self) -> list[tuple[EventId, EventId]]:
+        """Announce the smallest queued pair of each unannounced member.
+
+        The queue holds the pairs named by received notices and, for each
+        event that joined a fork since the last call, its pair with every
+        event concurrent with it now.  Going through the queued pairs in
+        sorted order and taking each one that still has an unannounced
+        member takes exactly the smallest pair of each unannounced
+        member, so the queue is never listed: a new member's smallest
+        pair is the one with its smallest-id rival, and an older member
+        is queued only with the new members concurrent with it.  Returns
+        the pairs in sorted order and marks their members announced.
+        """
+        best: dict[EventId, tuple[EventId, EventId]] = {}
+
+        def offer(x: EventId, pair: tuple[EventId, EventId]) -> None:
+            if x not in self._announced and (x not in best or pair < best[x]):
+                best[x] = pair
+
+        for pair in self._notice_queue:
+            offer(pair[0], pair)
+            offer(pair[1], pair)
+        for y in self._fork_members:
+            x = self.chain.first_rival(y)
+            offer(y, (min(x, y), max(x, y)))
+            mask = self._unannounced[self.chain.get(y).creator]
+            for x in self.chain.concurrent_in(y, mask):
+                offer(x, (min(x, y), max(x, y)))
+        self._notice_queue, self._fork_members = [], []
+        pairs = sorted(set(best.values()))
+        for x in {x for pair in pairs for x in pair} - self._announced:
+            self._announced.add(x)
+            e = self.chain.events.get(x)
+            if e is not None and e.creator in self._unannounced:
+                self._unannounced[e.creator] &= ~(1 << self.chain.index_of(x))
+        return pairs
+
     # -- consensus pipeline ------------------------------------------------
 
     def run_pipeline(self) -> None:
@@ -445,7 +496,7 @@ class NodeState:
                 self.chain,
                 self.lstate.layering,
                 touch,
-                exclude=frozenset(self.victims),
+                exclude=self.victims,
             )
             self._victims_applied |= new_victims
             self._fresh = []
@@ -615,7 +666,7 @@ class NodeState:
         phi = self.lstate.layering.phi
         tops = []
         for c in range(self.n):
-            t = self.chain.top_event(c, frozenset(self.victims))
+            t = self.chain.top_event(c, self.victims)
             if t is None:
                 raise IncompleteCoverage(f"no events from creator {c}")
             tops.append(t)
@@ -635,16 +686,12 @@ class NodeState:
                 self.outbox.append(Envelope(self.id, p, Broadcast((e,))))
         for peer in self.select_peers():
             self.outbox.append(self.start_sync(peer))
-        # one notice per fork member is enough for peers to fetch it;
-        # announcing every concurrent pair would be quadratic in branch length
-        queue, self._notice_queue = self._notice_queue, []
-        for pair in sorted(queue):
-            if pair[0] in self._announced and pair[1] in self._announced:
-                continue
+        # one notice per fork member is enough for peers to fetch it, so
+        # each member not yet announced goes out once, in its smallest pair
+        for pair in self._take_notices():
             creator = self.chain.get(pair[0]).creator if pair[0] in self.chain else -1
             for p in sorted(self.syncs_initiated):
                 self.outbox.append(Envelope(self.id, p, ForkNotice(creator, pair)))
-            self._announced.update(pair)
         # the pipeline is pure bookkeeping over the chain and feeds nothing
         # back into the network, so running it on a cadence only delays
         # local finality reporting, never changes it

@@ -8,6 +8,7 @@ definition.  Roots get frame numbers via root-layering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import AbstractSet
 
 from .chain import Chain
 from .errors import MissingLayering
@@ -183,7 +184,11 @@ class RootGraphEngine:
         return changes
 
     def _process_layer(
-        self, chain: Chain, layer: int, members: list[EventId], exclude: frozenset
+        self,
+        chain: Chain,
+        layer: int,
+        members: list[EventId],
+        exclude: AbstractSet[EventId],
     ) -> None:
         newly: list[EventId] = []
         for vid in sorted(members, key=lambda v: chain.get(v).sort_key()):
@@ -218,7 +223,7 @@ class RootGraphEngine:
         chain: Chain,
         layering: Layering,
         new_events: list[EventId],
-        exclude: frozenset = frozenset(),
+        exclude: AbstractSet[EventId] = frozenset(),
     ) -> RootGraph:
         """Extend the sweep to cover ``new_events`` (and any rollback)."""
         for eid in new_events:
@@ -247,7 +252,7 @@ def build_root_graph(
     chain: Chain,
     layering: Layering,
     n: int,
-    exclude: frozenset = frozenset(),
+    exclude: AbstractSet[EventId] = frozenset(),
 ) -> RootGraph:
     """Batch root graph over a fully layered chain."""
     if len(layering.phi) < len(chain):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from chaingen import random_chain
+from chaingen import causal_shuffle, random_chain
 from layerdag.chain import Chain
 from layerdag.errors import (
     DuplicateEvent,
@@ -177,31 +177,110 @@ def test_detect_forks_matches_bruteforce_scan():
     [(2, 2), (1, 3)],
     ids=["equivocator-two-leaves", "forker-three-branches"],
 )
-def test_insert_reports_each_fork_pair_once(leaves, branches):
+def test_insert_reports_each_fork_member_once(leaves, branches):
     # creator 0 grows its branches in turns, each event citing creator 1's
     # latest event, which in turn cites one of the branch tips
     chain = Chain()
-    reported = []
+    joined = []
     peer = make_leaf(1)
-    reported += chain.insert(peer)
+    joined += chain.insert(peer)
     tips = []
     for b in range(leaves):
         leaf = new_event(0, None, (), 0, b"leaf:%d" % b, 0)
-        reported += chain.insert(leaf)
+        joined += chain.insert(leaf)
         tips.append(leaf)
     tips += [tips[0]] * (branches - leaves)
     for step in range(6):
         for b in range(branches):
             tips[b] = make_event(0, tips[b], (peer,), payload=b"%d:%d" % (b, step))
-            reported += chain.insert(tips[b])
+            joined += chain.insert(tips[b])
         peer = make_event(1, peer, (tips[step % branches],), payload=b"p%d" % step)
-        reported += chain.insert(peer)
+        joined += chain.insert(peer)
     pairs = chain.detect_forks()
     assert set(pairs) == bruteforce_fork_pairs(chain)
     assert len(set(pairs)) == len(pairs)
-    assert sorted(reported) == pairs
+    # an insert reports its event once it pairs with an event held before
+    members = {max(p, key=chain.index_of) for p in pairs}
+    assert joined == sorted(members, key=chain.index_of)
     later = {max(p, key=lambda x: chain.get(x).sort_key()) for p in pairs}
     assert chain.fork_victims() == later
+
+
+def forked_blocks(rng, n, events, branches):
+    """Blocks, in causal order, of a random chain whose creator 0 forks.
+
+    Creator 0 extends a random one of its tips, or, while it has fewer
+    than ``branches`` tips, sometimes forks off a random one of its
+    events or starts a second leaf; the others extend their own tip.
+    Each event cites up to two other creators' tips.
+    """
+    blocks = [make_leaf(c, payload=b"leaf:%d" % c) for c in range(n)]
+    tips = {c: [blocks[c]] for c in range(n)}
+    mine = [blocks[0]]
+    for i in range(events):
+        c = rng.randrange(n)
+        others = [rng.choice(tips[p]) for p in range(n) if p != c]
+        others = tuple(rng.sample(others, rng.randint(0, min(2, len(others)))))
+        if c == 0 and len(tips[0]) < branches and rng.random() < 0.3:
+            if rng.random() < 0.2:
+                e = new_event(0, None, (), 0, b"leaf:0:%d" % i, 0)
+            else:
+                e = make_event(0, rng.choice(mine), others, payload=b"f:%d" % i)
+        else:
+            parent = rng.choice(tips[c])
+            e = make_event(c, parent, others, payload=b"p:%d" % i)
+            tips[c].remove(parent)
+        tips[c].append(e)
+        if c == 0:
+            mine.append(e)
+        blocks.append(e)
+    return blocks
+
+
+def late_rival_blocks(rng):
+    """A long clean history, then a rival forking off an old event, both growing."""
+    blocks = list(random_chain(rng, 3, 60).in_insertion_order())
+    old = [e for e in blocks if e.creator == 1]
+    branch = [make_event(1, old[len(old) // 3], (), payload=b"late")]
+    main = old[-1]
+    for i in range(6):
+        main = make_event(1, main, (), payload=b"m:%d" % i)
+        branch.append(make_event(1, branch[-1], (), payload=b"b:%d" % i))
+        blocks += [main, branch[-2]]
+    return blocks + [branch[-1]]
+
+
+def fork_streams():
+    for seed in range(6):
+        rng = random.Random(f"victims/{seed}")
+        yield forked_blocks(rng, rng.randint(2, 4), 80, rng.randint(2, 4))
+    rng = random.Random("victims/late")
+    yield late_rival_blocks(rng)
+    for seed in range(6):
+        rng = random.Random(f"victims/shuffled/{seed}")
+        chain = Chain()
+        for e in forked_blocks(rng, 3, 80, 4):
+            chain.insert(e)
+        yield causal_shuffle(chain, rng)
+
+
+def test_fork_victims_match_bruteforce_after_every_insert():
+    members = demoted = 0
+    for blocks in fork_streams():
+        chain = Chain()
+        for e in blocks:
+            held = set(chain.fork_victims())
+            joined = chain.insert(e)
+            pairs = bruteforce_fork_pairs(chain)
+            assert joined == ([e.id] if any(e.id in p for p in pairs) else [])
+            later = {max(p, key=lambda x: chain.get(x).sort_key()) for p in pairs}
+            assert chain.fork_victims() == later
+            members += len(joined)
+            # e sorted before an event held earlier and made it a victim
+            demoted += bool(later - held - {e.id})
+        assert set(chain.detect_forks()) == pairs
+    assert members >= 250
+    assert demoted >= 5
 
 
 def test_fork_victims_pick_later_sort_key():

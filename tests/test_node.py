@@ -104,13 +104,16 @@ def test_ingest_buffers_until_parents_arrive():
     assert not node.pending
 
 
-def test_ingest_reports_fork_pairs():
+def test_ingest_reports_fork_members():
     node = fresh_node()
     b0 = make_leaf(1)
     rival_a = make_event(1, b0, (), payload=b"a")
     rival_b = make_event(1, b0, (), payload=b"b")
     report = node.ingest_events([b0, rival_a, rival_b])
-    assert len(report.fork_pairs) == 1
+    assert set(report.accepted) == {b0.id, rival_a.id, rival_b.id}
+    # the rival accepted second is the one that joined a fork
+    assert report.fork_members == report.accepted[-1:]
+    assert report.fork_members[0] in (rival_a.id, rival_b.id)
     later = max(rival_a, rival_b, key=lambda e: e.sort_key())
     assert node.victims == {later.id}
 
@@ -153,7 +156,7 @@ def test_earlier_leaf_rival_is_inserted():
     report = node.ingest_events([first])
     assert report.accepted == [first.id]
     assert not report.quarantined
-    assert len(report.fork_pairs) == 1
+    assert report.fork_members == [first.id]
     assert node.victims == {second.id}
 
 
@@ -195,6 +198,131 @@ def test_fork_notice_triggers_event_request():
     ]
     assert len(requests) == 1
     assert set(requests[0].payload.wanted) == set(pair)
+
+
+class PairQueueFlush:
+    """Test-only copy of the notice flush that queued every fork pair.
+
+    Each insert queued its event's pair with every concurrent event of
+    its creator already held, each received notice queued its pair, and
+    ``step`` sent the queued pairs in sorted order, skipping a pair once
+    both its members were announced.
+    """
+
+    def __init__(self):
+        self.queue = []
+        self.announced = set()
+        self.flushed = 0  # chain events already paired
+
+    def flush(self, node):
+        chain = node.chain
+        order = [e.id for e in chain.in_insertion_order()]
+        for y in order[self.flushed:]:
+            for x in chain.by_creator[chain.get(y).creator]:
+                if chain.index_of(x) < chain.index_of(y) and not (
+                    chain.self_ancestor(x, y) or chain.self_ancestor(y, x)
+                ):
+                    self.queue.append((min(x, y), max(x, y)))
+        self.flushed = len(order)
+        out = []
+        for pair in sorted(self.queue):
+            if pair[0] in self.announced and pair[1] in self.announced:
+                continue
+            creator = chain.get(pair[0]).creator if pair[0] in chain else -1
+            out += [
+                Envelope(node.id, p, ForkNotice(creator, pair))
+                for p in sorted(node.syncs_initiated)
+            ]
+            self.announced.update(pair)
+        self.queue = []
+        return out
+
+
+def check_notices_against_pair_queue(monkeypatch):
+    """Make every ``step`` assert its ForkNotices equal the pair-queue flush's.
+
+    Returns counters of notices sent and of notices that arrived while a
+    member they name was not held.
+    """
+    step, handle = NodeState.step, NodeState.handle_message
+    flushes = {}
+    seen = {"sent": 0, "early": 0}
+
+    def handle_message(node, env):
+        if isinstance(env.payload, ForkNotice):
+            pair = env.payload.pair
+            flushes.setdefault(id(node), PairQueueFlush()).queue.append(tuple(sorted(pair)))
+            seen["early"] += any(x not in node.chain for x in pair)
+        handle(node, env)
+
+    def checked_step(node, step_no, inbox, emit=True):
+        out = step(node, step_no, inbox, emit)
+        notices = [env for env in out if isinstance(env.payload, ForkNotice)]
+        assert notices == flushes.setdefault(id(node), PairQueueFlush()).flush(node)
+        seen["sent"] += len(notices)
+        return out
+
+    monkeypatch.setattr(NodeState, "handle_message", handle_message)
+    monkeypatch.setattr(NodeState, "step", checked_step)
+    return seen
+
+
+def test_notice_for_members_not_yet_held_matches_pair_queue(monkeypatch):
+    seen = check_notices_against_pair_queue(monkeypatch)
+    node = fresh_node()
+    b0 = make_leaf(1)
+    rivals = [make_event(1, b0, (), payload=p) for p in (b"a", b"b")]
+    first, second = sorted(rivals, key=lambda e: e.sort_key())
+    child = make_event(1, second, (), payload=b"c")
+    pair = tuple(sorted((first.id, second.id)))
+
+    def notices(out):
+        return [env.payload for env in out if isinstance(env.payload, ForkNotice)]
+
+    # the notice comes first and is relayed before either member is held
+    out = node.step(0, [Envelope(2, 0, ForkNotice(1, pair))])
+    assert notices(out) == [ForkNotice(-1, pair)] * 3
+    assert seen["early"] == 1
+    # both members are announced: holding one of them sends nothing
+    out = node.step(1, [Envelope(2, 0, Broadcast((b0, first, second)))])
+    assert not notices(out)
+    assert second.id in node.quarantine
+    # the child pulls the quarantined member in; only the child is new
+    out = node.step(2, [Envelope(2, 0, Broadcast((child,)))])
+    assert notices(out) == [ForkNotice(1, tuple(sorted((first.id, child.id))))] * 3
+    assert seen["sent"] == 6
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        simnet.SimConfig(n=7, steps=90, seed="notice/eq", byzantine={6: "equivocator"}),
+        simnet.SimConfig(
+            n=7,
+            steps=120,
+            seed="notice/wp3",
+            delay_model="reorder",
+            delay_arg=2,
+            byzantine={6: "forker"},
+            w_p=3,
+            w_c=12,
+        ),
+        simnet.SimConfig(
+            n=7,
+            steps=90,
+            seed="notice/mix",
+            delay_model="rand",
+            delay_arg=2,
+            byzantine={1: "forker", 4: "equivocator"},
+        ),
+    ],
+    ids=["equivocator", "forker-wp3", "mixed-rand2"],
+)
+def test_fork_notices_match_the_pair_queue_flush(cfg, monkeypatch):
+    seen = check_notices_against_pair_queue(monkeypatch)
+    simnet.run(cfg)
+    assert seen["sent"] >= 300
+    assert seen["early"] >= 10
 
 
 def test_event_request_carries_known_map_and_gets_only_whats_missing():
