@@ -33,7 +33,8 @@ class Chain:
     self-ancestor of the other).  Only then does the chain keep its
     events' (lamport, id) keys and ids sorted, so each later insert marks
     fork victims and finds rivals by bisection instead of pairing the new
-    event with the creator's whole self-chain.
+    event with the creator's whole self-chain, and a mask of its events,
+    so ``forks_in`` tells whether a past holds one of its forks.
     """
 
     def __init__(self) -> None:
@@ -51,9 +52,11 @@ class Chain:
         # per-creator self-chain tips: events with no same-creator child
         self._tips: dict[NodeId, set[EventId]] = {}
         # per forked creator, built at its first fork: the sort keys and
-        # the ids of its events, each list ascending
+        # the ids of its events, each list ascending, and a bitmask over
+        # the insertion indices of its events
         self._fork_keys: dict[NodeId, list[tuple[int, EventId]]] = {}
         self._fork_ids: dict[NodeId, list[EventId]] = {}
+        self._fork_masks: dict[NodeId, int] = {}
         # later-by-(lamport, id) member of every fork pair seen so far
         self._fork_victims: set[EventId] = set()
 
@@ -177,6 +180,7 @@ class Chain:
             keys = sorted(self.events[x].sort_key() for x in older)
             self._fork_keys[e.creator] = keys
             self._fork_ids[e.creator] = sorted(older)
+            self._fork_masks[e.creator] = sum(1 << self._index[x] for x in older)
         key = e.sort_key()
         i = bisect_left(keys, key)
         # e's creation_seq self-ancestors sort before it, and every other
@@ -188,6 +192,7 @@ class Chain:
         keys.insert(i, key)
         self._fork_victims.update(k[1] for k in keys[i + 1:])
         insort(self._fork_ids[e.creator], e.id)
+        self._fork_masks[e.creator] |= 1 << idx
         return [e.id]
 
     def _self_related(self, x: EventId, y: EventId) -> bool:
@@ -292,12 +297,28 @@ class Chain:
         """Later-by-(lamport, id) member of every fork pair.
 
         This is a pure function of chain content, so any two nodes with
-        the same chain exclude the same events from consensus.  The
+        the same chain avoid the same events as references.  The
         returned set is the chain's own, kept current by ``insert`` from
         each forked creator's sorted keys without listing any pair;
         callers must not modify it.
         """
         return self._fork_victims
+
+    def forks_in(self, anc: int) -> set[NodeId]:
+        """Creators with a fork inside ``anc``, an ancestor-closed mask.
+
+        The newest event of a creator in ``anc`` has no descendant there,
+        so the creator's events in ``anc`` hold a fork iff one of them is
+        neither that event nor a self-ancestor of it.
+        """
+        out = set()
+        for c, mask in self._fork_masks.items():
+            mine = anc & mask
+            if mine:
+                top = mine.bit_length() - 1
+                if mine & ~(self._self_anc[self._order[top]] | 1 << top):
+                    out.add(c)
+        return out
 
     def first_rival(self, y: EventId) -> EventId:
         """Smallest-id event concurrent with ``y``, which joined a fork."""

@@ -19,7 +19,6 @@ from .chain import Chain
 from .errors import ConfigError, LayerDagError
 from .layering import layer_cg, layer_lpl, max_width, transitive_reduce
 from .node import NodeState, PeerStrategy
-from .roots import build_root_graph
 from .simnet import (
     RunResult,
     SimConfig,
@@ -97,8 +96,12 @@ def _load_chain(path: str) -> Chain:
         return chainio.read_chain(fh)
 
 
-def _offline_node(chain: Chain, algo: str, width: int | None) -> NodeState:
-    """Replay a chain file through a single consensus pipeline."""
+def _offline_node(chain: Chain, algo: str = "lpl", width: int | None = None) -> NodeState:
+    """Replay a chain file through a single consensus pipeline run.
+
+    The run hands every event to one engine update, as
+    ``build_root_graph`` does, and then to the election.
+    """
     creators = chain.creators()
     if not creators:
         raise ConfigError("chain file is empty")
@@ -208,11 +211,8 @@ def cmd_layer(args: argparse.Namespace) -> int:
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
-    chain = _load_chain(args.chain)
-    layering = layer_lpl(chain)
-    n = max(chain.creators()) + 1
-    rg = build_root_graph(chain, layering, n, chain.fork_victims())
-    for line in chainio.roots_lines(chain, rg):
+    node = _offline_node(_load_chain(args.chain))
+    for line in chainio.roots_lines(node.chain, node.engine.graph):
         print(line)
     return EXIT_OK
 

@@ -1,10 +1,10 @@
-"""Clotho/Atropos selection and final event ordering.
+"""Clotho election, Atropos ordering and final event ordering.
 
-A root of frame ``a`` becomes Clotho once some root three frames above it
-confirms, through its ancestry, a quorum of frame ``a+1`` roots that
-themselves reach the candidate.  Each Clotho is then assigned a consensus
-position (making it Atropos) and its not-yet-processed past is flushed
-into the final order.
+Every (frame, creator) slot is decided by virtual voting among the roots
+(see :class:`Election`): each root votes from its own past, so a decision
+is the same on every replica and never revised.  Once every slot of the
+lowest open frame is decided, that frame's Clothos become Atropos and
+their not-yet-processed pasts are flushed into the final order.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 from .chain import Chain
 from .errors import ConsensusInvariantError, UnlayeredVertex
-from .events import EventId
+from .events import EventId, NodeId
 from .layering import Layering
-from .roots import RootChanges, RootGraph, quorum
+from .roots import RootGraph, quorum
 
 
 def sort_vertex_key(chain: Chain, layering: Layering, v: EventId):
@@ -34,103 +34,108 @@ class ClothoRecord:
     witnesses: frozenset[EventId]
 
 
-@dataclass
-class ClothoDecisions:
-    """Per-root Clotho decisions kept across ``select_clothos`` calls.
+class Election:
+    """Virtual voting on every (frame ``a``, creator ``c``) slot.
 
-    ``clothos`` holds the record of every root decided as Clotho.
-    ``reach`` holds, for every root of frame ``a``, how many frame
-    ``a+1`` roots reach it.  ``redecided`` holds the roots the latest call
-    decided again; every other root's decision is unchanged.
+    A slot asks whether ``c``'s frame-``a`` root is a Clotho.  Each root
+    votes once, from its own past, on every slot still open when it is
+    fed:
+
+    - a frame ``a+1`` root votes for the frame-``a`` root of ``c`` that
+      its past holds, or no when there is none or its past holds a fork
+      of ``c``;
+    - a root ``y`` of frame ``b >= a+2`` tallies the frame ``b-1`` roots
+      in its past, one per creator whose fork ``y``'s past does not
+      show.  A quorum of votes for one root decides yes (that root is a
+      Clotho, ``y`` its nominator and those voters its witnesses), a
+      quorum of no votes decides no, and otherwise ``y`` votes the
+      majority, ties to yes.
+
+    Roots are fed in causal order, so every vote a tally reads was cast
+    before it, and a vote on a decided slot is never needed.
     """
 
-    clothos: dict[EventId, ClothoRecord] = field(default_factory=dict)
-    reach: dict[EventId, int] = field(default_factory=dict)
-    redecided: list[EventId] = field(default_factory=list)
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.q = quorum(n)
+        self.clothos: dict[EventId, ClothoRecord] = {}
+        self.by_frame: dict[int, list[EventId]] = {}  # Clotho roots per frame
+        self.complete = 1  # every slot of the frames below is decided
+        self.fresh: list[EventId] = []  # Clothos the latest feed decided
+        self._fed = 0  # how much of the root graph's order was fed
+        # frame -> creators whose slot is open, for frames >= complete
+        self._open: dict[int, set[NodeId]] = {}
+        # open slot -> root -> the root it voted for, None for no
+        self._votes: dict[tuple[int, NodeId], dict[EventId, EventId | None]] = {}
 
+    def feed(self, chain: Chain, rg: RootGraph) -> None:
+        """Let the graph's roots not fed yet vote."""
+        self.fresh = []
+        for y in rg.order[self._fed:]:
+            self._vote(chain, rg, y)
+        self._fed = len(rg.order)
 
-def _roots_to_redecide(rg: RootGraph, changes: RootChanges) -> set[EventId]:
-    """Roots whose Clotho decision may differ after ``changes``.
+    def _vote(self, chain: Chain, rg: RootGraph, y: EventId) -> None:
+        b = rg.roots[y].frame
+        if b < self.complete:
+            return  # a late root: every slot it could vote on is decided
+        self._open.setdefault(b, set(range(self.n)))
+        if b == self.complete:
+            return
+        anc = chain.ancestor_mask(y)
+        forked = chain.forks_in(anc)
+        # without a fork of c in y's past, c has one frame b-1 root there
+        voters = {
+            c: rs[0]
+            for c, rs in rg.roots_below(chain, b - 1, anc).items()
+            if c not in forked
+        }
+        for c in self._open[b - 1]:
+            self._votes.setdefault((b - 1, c), {})[y] = voters.get(c)
+        for a in range(self.complete, b - 1):
+            for c in sorted(self._open[a]):
+                self._tally(y, a, c, voters)
+        while self._open.get(self.complete) == set():
+            del self._open[self.complete]
+            self.complete += 1
 
-    A root of frame ``a`` is decided from the members of frames ``a+1``
-    (witnesses) and ``a+3`` (nominators) alone, so only new roots and the
-    roots of frames ``f-1`` and ``f-3`` of a changed frame ``f`` qualify.
-    """
-    out = set(changes.added)
-    for f in changes.frames:
-        out.update(rg.frames.get(f - 1, ()))
-        out.update(rg.frames.get(f - 3, ()))
-    return out
+    def _tally(
+        self, y: EventId, a: int, c: NodeId, voters: dict[NodeId, EventId]
+    ) -> None:
+        votes = self._votes.setdefault((a, c), {})
+        yes: dict[EventId, list[EventId]] = {}
+        no = 0
+        for x in voters.values():
+            r = votes[x]
+            if r is None:
+                no += 1
+            else:
+                yes.setdefault(r, []).append(x)
+        best = min(yes, key=lambda r: (-len(yes[r]), r), default=None)
+        ayes = len(yes[best]) if best is not None else 0
+        if ayes >= self.q:
+            self.clothos[best] = ClothoRecord(best, a, y, frozenset(yes[best]))
+            self.by_frame.setdefault(a, []).append(best)
+            self.fresh.append(best)
+        elif no < self.q:
+            votes[y] = best if ayes and ayes >= no else None
+            return
+        self._open[a].discard(c)
+        del self._votes[(a, c)]
 
 
 def select_clothos(
-    chain: Chain,
-    rg: RootGraph,
-    n: int,
-    kept: ClothoDecisions | None = None,
-    changes: RootChanges | None = None,
+    chain: Chain, rg: RootGraph, n: int, election: Election | None = None
 ) -> dict[EventId, ClothoRecord]:
-    """Return Clotho records for every currently decidable root.
+    """Clotho records of every slot decided yes so far.
 
-    The result is a pure function of the root graph, so every replica
-    with the same graph gets the same records.  Given the decisions
-    ``kept`` from the previous call and the root graph's ``changes``
-    since then, only the roots those changes can affect are decided
-    again (see :func:`_roots_to_redecide`) and the records of dropped
-    roots are discarded; ``kept`` is updated in place and its
-    ``clothos`` returned.  Without ``changes`` every root is decided.
+    ``election`` is fed the roots it has not seen and its records are
+    returned; without one, a new election is fed every root of ``rg``.
     """
-    q = quorum(n)
-    if kept is None:
-        kept = ClothoDecisions()
-    if changes is None:
-        kept.clothos.clear()
-        kept.reach.clear()
-        kept.redecided = list(rg.order)
-    else:
-        for rec in changes.dropped:
-            kept.clothos.pop(rec.event, None)
-            kept.reach.pop(rec.event, None)
-        kept.redecided = sorted(_roots_to_redecide(rg, changes), key=chain.index_of)
-    for rid in kept.redecided:
-        found, kept.reach[rid] = _decide_clotho(
-            chain, rg.frames, rid, rg.roots[rid].frame, q
-        )
-        if found:
-            kept.clothos[rid] = found
-        else:
-            kept.clothos.pop(rid, None)
-    return kept.clothos
-
-
-def _decide_clotho(
-    chain: Chain,
-    frames: dict[int, list[EventId]],
-    rid: EventId,
-    a: int,
-    q: int,
-) -> tuple[ClothoRecord | None, int]:
-    """The root's Clotho record (or None) and how many witnesses reach it."""
-    witness_pool = frames.get(a + 1, [])
-    cand_idx = chain.index_of(rid)
-    reaching = [w for w in witness_pool if chain.ancestor_mask(w) >> cand_idx & 1]
-    if len(reaching) < q:
-        return None, len(reaching)
-    positions = {chain.index_of(w): w for w in reaching}
-    reaching_mask = 0
-    for i in positions:
-        reaching_mask |= 1 << i
-    for nom in sorted(frames.get(a + 3, ()), key=lambda x: chain.get(x).sort_key()):
-        seen = chain.ancestor_mask(nom) & reaching_mask
-        if seen.bit_count() >= q:
-            record = ClothoRecord(
-                rid,
-                a,
-                nom,
-                frozenset(positions[i] for i in positions if seen >> i & 1),
-            )
-            return record, len(reaching)
-    return None, len(reaching)
+    if election is None:
+        election = Election(n)
+    election.feed(chain, rg)
+    return election.clothos
 
 
 @dataclass(frozen=True)
@@ -162,29 +167,24 @@ def select_atropos(
     clothos: dict[EventId, ClothoRecord],
     order: FinalOrder,
 ) -> list[AtroposRecord]:
-    """Assign consensus positions to Clothos sorting after the main chain.
+    """Assign consensus positions to Clothos above the main chain's frame.
 
-    Clothos are consumed in the canonical vertex order; positions continue
-    from where the main chain left off.  A Clotho sorting at or before the
-    main chain's last Atropos is taken as already placed (the pipeline
-    checks that with ``check_prefix`` first), so repeated calls are
-    idempotent.
+    Emission goes one complete frame at a time, so Clothos are taken by
+    frame, then in the canonical vertex order; positions continue from
+    where the main chain left off.  A Clotho of a frame at or below the
+    main chain's last Atropos is taken as already placed, so repeated
+    calls are idempotent.
     """
-
-    def key(c: EventId):
-        return sort_vertex_key(chain, layering, c)
-
-    fresh = sorted(clothos, key=key)
-    if order.atropos:
-        last = key(order.atropos[-1].clotho.root)
-        fresh = [c for c in fresh if key(c) > last]
+    last = order.atropos[-1].clotho.frame if order.atropos else 0
+    fresh = sorted(
+        (c for c, rec in clothos.items() if rec.frame > last),
+        key=lambda c: (clothos[c].frame, sort_vertex_key(chain, layering, c)),
+    )
     new_records = []
-    pos = len(order.atropos)
     for c in fresh:
-        rec = AtroposRecord(clothos[c], pos)
+        rec = AtroposRecord(clothos[c], len(order.atropos))
         order.atropos.append(rec)
         new_records.append(rec)
-        pos += 1
     return new_records
 
 

@@ -102,7 +102,7 @@ def layering_lines(chain: Chain, layering: Layering) -> list[str]:
 
 def roots_lines(chain: Chain, rg: RootGraph) -> list[str]:
     lines = []
-    frames = rg.frame_members()
+    frames = rg.frames
     for frame in sorted(frames):
         members = sorted(frames[frame], key=lambda v: chain.get(v).sort_key())
         lines.append(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
@@ -25,13 +24,14 @@ from .errors import (
 )
 from .events import EventBlock, EventId, NodeId, make_event, make_leaf
 from .finality import (
-    ClothoDecisions,
     ClothoRecord,
+    Election,
     FinalOrder,
-    check_prefix,
+    # decisions are never revised, so no emitted prefix is re-derived;
+    # the name stays here for wrappers such as the benchmark's tracer
+    check_prefix,  # noqa: F401
     select_atropos,
     select_clothos,
-    sort_vertex_key,
     topo_sort_finalize,
 )
 from .layering import (
@@ -42,28 +42,14 @@ from .layering import (
     layer_lpl_online,
     max_width,
 )
-from .roots import RootChanges, RootGraph, RootGraphEngine, quorum
+from .roots import RootGraphEngine
 
 log = logging.getLogger(__name__)
-
-# Frames a Clotho must trail the newest frame by before its past is
-# flushed: 3 frames for the nomination itself plus a safety margin so
-# every replica decides the same frame population before emitting.
-FINALITY_MARGIN = 1
-
-# Layers below the top of the local layering that are considered settled.
-# Messages in flight can still add events up to roughly the network delay
-# bound below the frontier, which re-runs root promotion there; emissions
-# must only rely on layers no late arrival can touch anymore.
-DEFAULT_SETTLE_SLACK = 4
 
 # How often the consensus pipeline runs during simulation stepping.  It is
 # always run once more when a node quiesces, so the cadence trades steady
 # progress reporting for speed without touching outcomes.
 PIPELINE_CADENCE = 4
-
-# sorts after every (layer, lamport, id) key: "no pool position"
-END = (math.inf,)
 
 
 class ConfirmationStage(IntEnum):
@@ -156,7 +142,6 @@ class NodeState:
         width: int | None = None,
         w_p: int = 0,
         w_c: int = 0,
-        settle_slack: int = DEFAULT_SETTLE_SLACK,
     ) -> None:
         if n < 1:
             raise ConfigError("need at least one node")
@@ -172,28 +157,19 @@ class NodeState:
             self.width = width if width is not None else math.ceil(max_width(n, w_p, w_c))
         else:
             self.width = None
-        self.settle_slack = settle_slack
 
         self.chain = Chain()
         self.lstate = LayeringState(Layering())
         self.engine = RootGraphEngine(n)
-        self._decisions = ClothoDecisions()
-        self.clothos: dict[EventId, ClothoRecord] = self._decisions.clothos
+        self.election = Election(n)
+        self.clothos: dict[EventId, ClothoRecord] = self.election.clothos
         self.order = FinalOrder()
-        # emission pool: sort keys of the non-victim roots with frame at
-        # most ``_horizon``, ascending; ``_scan_stop`` is the key the last
-        # emission scan stopped at (END: it reached the end of the pool)
-        self._pool: list[tuple] = []
-        self._horizon = 0
-        self._scan_stop: tuple = END
-        # fork members kept out of consensus: the chain's own set
+        self._emit_frame = 1  # lowest frame whose Clothos are not emitted
+        # fork members new references avoid: the chain's own set
         self.victims: set[EventId] = self.chain.fork_victims()
-        self._victims_applied: set[EventId] = set()
         self.quarantine: dict[EventId, EventBlock] = {}
         self.pending: dict[EventId, EventBlock] = {}  # missing parents
-        # fork notice bookkeeping until the next flush in ``step``: pairs
-        # named by received notices, and events that joined a fork
-        self._notice_queue: list[tuple[EventId, EventId]] = []
+        # events that joined a fork since the last notice flush in ``step``
         self._fork_members: list[EventId] = []
         self._announced: set[EventId] = set()  # fork members already announced
         # per creator that forked here: bitmask over chain indices of its
@@ -415,7 +391,8 @@ class NodeState:
         elif isinstance(msg, EventResponse):
             self.ingest_events(list(msg.events))
         elif isinstance(msg, ForkNotice):
-            self._notice_queue.append(tuple(sorted(msg.pair)))
+            # only members held here are announced, when they join a fork
+            # in ``_insert``; the notice itself is never relayed
             unknown = tuple(
                 x for x in msg.pair if x not in self.chain and x not in self.quarantine
             )
@@ -432,17 +409,17 @@ class NodeState:
             log.warning("unknown message %r", msg)
 
     def _take_notices(self) -> list[tuple[EventId, EventId]]:
-        """Announce the smallest queued pair of each unannounced member.
+        """Announce the smallest fork pair of each unannounced member.
 
-        The queue holds the pairs named by received notices and, for each
-        event that joined a fork since the last call, its pair with every
-        event concurrent with it now.  Going through the queued pairs in
-        sorted order and taking each one that still has an unannounced
-        member takes exactly the smallest pair of each unannounced
-        member, so the queue is never listed: a new member's smallest
-        pair is the one with its smallest-id rival, and an older member
-        is queued only with the new members concurrent with it.  Returns
-        the pairs in sorted order and marks their members announced.
+        The pairs considered are, for each event that joined a fork since
+        the last call, its pairs with every event concurrent with it now.
+        Going through them in sorted order and taking each one that still
+        has an unannounced member takes exactly the smallest pair of each
+        unannounced member, so the pairs are never listed: a new member's
+        smallest pair is the one with its smallest-id rival, and an older
+        member pairs only with the new members concurrent with it.
+        Returns the pairs in sorted order and marks their members
+        announced.
         """
         best: dict[EventId, tuple[EventId, EventId]] = {}
 
@@ -450,164 +427,55 @@ class NodeState:
             if x not in self._announced and (x not in best or pair < best[x]):
                 best[x] = pair
 
-        for pair in self._notice_queue:
-            offer(pair[0], pair)
-            offer(pair[1], pair)
         for y in self._fork_members:
             x = self.chain.first_rival(y)
             offer(y, (min(x, y), max(x, y)))
             mask = self._unannounced[self.chain.get(y).creator]
             for x in self.chain.concurrent_in(y, mask):
                 offer(x, (min(x, y), max(x, y)))
-        self._notice_queue, self._fork_members = [], []
+        self._fork_members = []
         pairs = sorted(set(best.values()))
         for x in {x for pair in pairs for x in pair} - self._announced:
             self._announced.add(x)
-            e = self.chain.events.get(x)
-            if e is not None and e.creator in self._unannounced:
-                self._unannounced[e.creator] &= ~(1 << self.chain.index_of(x))
+            e = self.chain.get(x)
+            self._unannounced[e.creator] &= ~(1 << self.chain.index_of(x))
         return pairs
 
     # -- consensus pipeline ------------------------------------------------
 
     def run_pipeline(self) -> None:
-        """Advance layering, roots, Clotho/Atropos, and the final order.
+        """Advance layering, frames, the election, and the final order.
 
-        A run redoes only what the root graph's changes since the previous
-        run can affect: layers and ancestor masks never change once set,
-        ``settled`` never decreases, and a root's Clotho decision depends
-        only on the members of frames ``a+1`` and ``a+3``.
+        Layers, frames and slot decisions are each computed once, from
+        an event's own past, so a run only handles what arrived since the
+        previous one.  Once every slot of the lowest frame not emitted is
+        decided, that frame's Clothos become Atropos and flush their pasts.
         """
+        rg = self.engine.graph
+        known = len(rg.order)
         if self._fresh:
             diff = self._diff_graph(self._fresh)
             if self.layering_algo == "cg":
                 layer_cg_online(self.lstate, self.width, diff, self.chain)
             else:
                 layer_lpl_online(self.lstate, diff, self.chain)
-        # events that became fork victims after their layer was swept must
-        # force the engine back below them, or replicas that learned of the
-        # fork at different times would keep different root graphs
-        new_victims = self.victims - self._victims_applied
-        touch = list(self._fresh) + [
-            v for v in new_victims if v in self.lstate.layering.phi
-        ]
-        if touch:
-            self.engine.update(
+            self.engine.update(self.chain, self.lstate.layering, self._fresh)
+            self._fresh = []
+        select_clothos(self.chain, rg, self.n, self.election)
+        appended: list[EventId] = []
+        while self._emit_frame < self.election.complete:
+            frame = self.election.by_frame.get(self._emit_frame, ())
+            fresh = select_atropos(
                 self.chain,
                 self.lstate.layering,
-                touch,
-                exclude=self.victims,
+                {c: self.clothos[c] for c in frame},
+                self.order,
             )
-            self._victims_applied |= new_victims
-            self._fresh = []
-        rg = self.engine.graph
-        changes = self.engine.take_changes()
-        self.clothos = select_clothos(
-            self.chain, rg, self.n, self._decisions, changes
-        )
-        # the scan picks up at the first pool position whose outcome may
-        # have changed; every earlier position keeps its outcome, so the
-        # main chain up to there is still the eligible prefix
-        start = min(self._update_pool(rg, changes), self._scan_stop)
-        kept = bisect_left(
-            self.order.atropos, start, key=lambda a: self._key(a.clotho.root)
-        )
-        eligible, self._scan_stop = self._scan(rg, bisect_left(self._pool, start))
-        emitted = [a.clotho.root for a in self.order.atropos[kept:]]
-        check_prefix(emitted, eligible)
-        fresh = select_atropos(
-            self.chain,
-            self.lstate.layering,
-            {c: self.clothos[c] for c in eligible[len(emitted):]},
-            self.order,
-        )
-        appended = topo_sort_finalize(
-            self.chain, self.lstate.layering, self.order, fresh
-        )
-        self._update_stages(changes, appended)
-
-    def _key(self, v: EventId) -> tuple:
-        return sort_vertex_key(self.chain, self.lstate.layering, v)
-
-    def _update_pool(self, rg: RootGraph, changes: RootChanges) -> tuple:
-        """Bring the pool up to date with ``changes`` and the new horizon.
-
-        Returns the smallest key of a root that joined or left the pool
-        or whose Clotho decision was redone, or END.
-        """
-        pool, dirty = self._pool, []
-        old, horizon = self._horizon, rg.max_frame - 3 - FINALITY_MARGIN
-
-        def remove(r: EventId) -> None:
-            k = self._key(r)
-            i = bisect_left(pool, k)
-            if i < len(pool) and pool[i] == k:
-                del pool[i]
-                dirty.append(k)
-
-        def insert(r: EventId) -> None:
-            k = self._key(r)
-            i = bisect_left(pool, k)
-            if (i == len(pool) or pool[i] != k) and r not in self.victims:
-                pool.insert(i, k)
-                dirty.append(k)
-
-        for rec in changes.dropped:
-            if rec.frame <= old:
-                remove(rec.event)
-        for f in range(horizon + 1, old + 1):
-            for r in rg.frames.get(f, ()):
-                remove(r)
-        for r in changes.added:
-            if rg.roots[r].frame <= horizon:
-                insert(r)
-        for f in range(old + 1, horizon + 1):
-            for r in rg.frames.get(f, ()):
-                insert(r)
-        self._horizon = horizon
-        dirty.extend(
-            self._key(r)
-            for r in self._decisions.redecided
-            if rg.roots[r].frame <= horizon
-        )
-        return min(dirty, default=END)
-
-    def _scan(self, rg: RootGraph, begin: int) -> tuple[list[EventId], tuple]:
-        """Eligible roots of the pool from position ``begin`` on.
-
-        Emission is the decided prefix of the root pool in (layer,
-        lamport, id) order: a root that is still undecided blocks
-        everything sorting after it, or a late decision could splice
-        into an already emitted prefix.  Returns the eligible roots and
-        the key of the root the scan stopped at (END if none).
-        """
-        settled = self.lstate.layering.height - self.settle_slack
-        phi = self.lstate.layering.phi
-        frames = rg.frames
-        q = quorum(self.n)
-        eligible = []
-        for k in self._pool[begin:]:
-            r = k[2]
-            if k[0] > settled:
-                return eligible, k
-            rec = self.clothos.get(r)
-            if rec is not None:
-                if phi[rec.nominator] > settled:
-                    return eligible, k
-                eligible.append(r)
-                continue
-            # undecided root: skip it as a permanent "no" only when the
-            # frames holding its witnesses and nominators are settled, so
-            # no replica can still flip the decision to "yes"
-            a = rg.roots[r].frame
-            if any(phi[w] > settled for w in frames.get(a + 1, ())):
-                return eligible, k
-            if self._decisions.reach[r] < q:
-                continue
-            if all(phi[x] <= settled for x in frames.get(a + 3, ())):
-                continue
-            return eligible, k
-        return eligible, END
+            appended += topo_sort_finalize(
+                self.chain, self.lstate.layering, self.order, fresh
+            )
+            self._emit_frame += 1
+        self._update_stages(rg.order[known:], appended)
 
     def _diff_graph(self, fresh: list[EventId]) -> DiffGraph:
         fresh_set = set(fresh)
@@ -618,7 +486,9 @@ class NodeState:
                 edges.append((eid, r))
         return DiffGraph(tuple(fresh_set), tuple(edges))
 
-    def _update_stages(self, changes: RootChanges, appended: list[EventId]) -> None:
+    def _update_stages(
+        self, new_roots: list[EventId], appended: list[EventId]
+    ) -> None:
         """Raise the stages of the transactions not yet final.
 
         Stages only rise, so covering each run's new roots and Clothos
@@ -636,12 +506,11 @@ class NodeState:
                 self.final_positions[payload] = pos
                 self._unfinalized.discard(payload)
         root_cover = 0
-        for r in changes.added:
+        for r in new_roots:
             root_cover |= self.chain.ancestor_mask(r)
         clotho_cover = 0
-        for c in self._decisions.redecided:
-            if c in self.clothos:
-                clotho_cover |= self.chain.ancestor_mask(c)
+        for c in self.election.fresh:
+            clotho_cover |= self.chain.ancestor_mask(c)
         for payload in self._unfinalized:
             idx = self.chain.index_of(self.tx_event[payload])
             if clotho_cover >> idx & 1:
@@ -689,7 +558,7 @@ class NodeState:
         # one notice per fork member is enough for peers to fetch it, so
         # each member not yet announced goes out once, in its smallest pair
         for pair in self._take_notices():
-            creator = self.chain.get(pair[0]).creator if pair[0] in self.chain else -1
+            creator = self.chain.get(pair[0]).creator
             for p in sorted(self.syncs_initiated):
                 self.outbox.append(Envelope(self.id, p, ForkNotice(creator, pair)))
         # the pipeline is pure bookkeeping over the chain and feeds nothing

@@ -280,16 +280,6 @@ def _summarize(msg) -> str:
 def build_nodes(cfg: SimConfig) -> tuple[dict[NodeId, NodeState], dict[NodeId, ByzantineNode]]:
     honest: dict[NodeId, NodeState] = {}
     byz: dict[NodeId, ByzantineNode] = {}
-    if cfg.delay_model == "lockstep":
-        slack = 2
-    elif cfg.delay_model in ("rand", "reorder"):
-        slack = int(cfg.delay_arg) + 3
-    else:  # drop: recovery rides on later syncs, so churn reaches deeper
-        slack = 10
-    if cfg.byzantine:
-        # fork branches surface via notice/request round trips, which adds
-        # several steps before every replica has rolled its root graph back
-        slack += 6
     for i in range(cfg.n):
         kind = cfg.byzantine.get(i)
         if kind is None:
@@ -303,7 +293,6 @@ def build_nodes(cfg: SimConfig) -> tuple[dict[NodeId, NodeState], dict[NodeId, B
                 width=cfg.width,
                 w_p=cfg.w_p,
                 w_c=cfg.w_c,
-                settle_slack=slack,
             )
         elif kind == "forker":
             byz[i] = Forker(i, cfg.n, cfg.seed, cfg.w_p or 2, cfg.w_c or 4)

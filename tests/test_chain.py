@@ -283,6 +283,33 @@ def test_fork_victims_match_bruteforce_after_every_insert():
     assert demoted >= 5
 
 
+def test_forks_in_a_past_match_bruteforce():
+    # a creator is forked in a past when two of its events there are
+    # neither one a self-ancestor of the other
+    forked = 0
+    for blocks in fork_streams():
+        chain = Chain()
+        for e in blocks:
+            chain.insert(e)
+        below = dfs_reachability(chain)
+        for eid in list(chain.events)[::3]:
+            mine = {}
+            for x in below[eid] | {eid}:
+                mine.setdefault(chain.get(x).creator, []).append(x)
+            want = {
+                c
+                for c, xs in mine.items()
+                if any(
+                    not chain.self_ancestor(x, y) and not chain.self_ancestor(y, x)
+                    for i, x in enumerate(xs)
+                    for y in xs[:i]
+                )
+            }
+            assert chain.forks_in(chain.ancestor_mask(eid)) == want
+            forked += bool(want)
+    assert forked >= 100
+
+
 def test_fork_victims_pick_later_sort_key():
     chain = Chain()
     leaf = make_leaf(0)

@@ -8,10 +8,15 @@ from chaingen import causal_shuffle, random_chain
 from layerdag import simnet
 from layerdag.errors import IncompleteCoverage, UnknownTransaction
 from layerdag.events import make_event, make_leaf
-from layerdag.finality import ClothoRecord, sort_vertex_key
+from layerdag.finality import (
+    Election,
+    FinalOrder,
+    select_atropos,
+    select_clothos,
+    topo_sort_finalize,
+)
 from layerdag.layering import layer_lpl
 from layerdag.node import (
-    FINALITY_MARGIN,
     Broadcast,
     ConfirmationStage,
     Envelope,
@@ -22,7 +27,7 @@ from layerdag.node import (
     SyncRequest,
     SyncResponse,
 )
-from layerdag.roots import build_root_graph, quorum
+from layerdag.roots import build_root_graph
 
 
 def fresh_node(node_id=0, n=4, **kw):
@@ -204,9 +209,9 @@ class PairQueueFlush:
     """Test-only copy of the notice flush that queued every fork pair.
 
     Each insert queued its event's pair with every concurrent event of
-    its creator already held, each received notice queued its pair, and
-    ``step`` sent the queued pairs in sorted order, skipping a pair once
-    both its members were announced.
+    its creator already held, and ``step`` sent the queued pairs in
+    sorted order, skipping a pair once both its members were announced.
+    Received notices queue nothing: only held members are announced.
     """
 
     def __init__(self):
@@ -250,9 +255,7 @@ def check_notices_against_pair_queue(monkeypatch):
 
     def handle_message(node, env):
         if isinstance(env.payload, ForkNotice):
-            pair = env.payload.pair
-            flushes.setdefault(id(node), PairQueueFlush()).queue.append(tuple(sorted(pair)))
-            seen["early"] += any(x not in node.chain for x in pair)
+            seen["early"] += any(x not in node.chain for x in env.payload.pair)
         handle(node, env)
 
     def checked_step(node, step_no, inbox, emit=True):
@@ -267,7 +270,11 @@ def check_notices_against_pair_queue(monkeypatch):
     return seen
 
 
-def test_notice_for_members_not_yet_held_matches_pair_queue(monkeypatch):
+def notices(out):
+    return [env.payload for env in out if isinstance(env.payload, ForkNotice)]
+
+
+def test_notice_for_members_not_yet_held_is_not_relayed(monkeypatch):
     seen = check_notices_against_pair_queue(monkeypatch)
     node = fresh_node()
     b0 = make_leaf(1)
@@ -275,22 +282,32 @@ def test_notice_for_members_not_yet_held_matches_pair_queue(monkeypatch):
     first, second = sorted(rivals, key=lambda e: e.sort_key())
     child = make_event(1, second, (), payload=b"c")
     pair = tuple(sorted((first.id, second.id)))
-
-    def notices(out):
-        return [env.payload for env in out if isinstance(env.payload, ForkNotice)]
-
-    # the notice comes first and is relayed before either member is held
+    # the notice comes first: its members are asked for, not announced
     out = node.step(0, [Envelope(2, 0, ForkNotice(1, pair))])
-    assert notices(out) == [ForkNotice(-1, pair)] * 3
+    assert not notices(out)
+    (request,) = [env for env in out if isinstance(env.payload, EventRequest)]
+    assert request.dst == 2 and set(request.payload.wanted) == set(pair)
     assert seen["early"] == 1
-    # both members are announced: holding one of them sends nothing
+    # one member held and the other quarantined is no fork here yet
     out = node.step(1, [Envelope(2, 0, Broadcast((b0, first, second)))])
     assert not notices(out)
     assert second.id in node.quarantine
-    # the child pulls the quarantined member in; only the child is new
+    # the child pulls the quarantined member in: both new members go out
     out = node.step(2, [Envelope(2, 0, Broadcast((child,)))])
-    assert notices(out) == [ForkNotice(1, tuple(sorted((first.id, child.id))))] * 3
+    pairs = sorted({pair, tuple(sorted((first.id, child.id)))})
+    assert notices(out) == [ForkNotice(1, p) for p in pairs for _ in range(3)]
     assert seen["sent"] == 6
+
+
+def test_notice_naming_made_up_ids_is_not_relayed():
+    node = fresh_node()
+    junk = tuple(sorted((b"\x01" * 32, b"\x02" * 32)))
+    out = node.step(0, [Envelope(2, 0, ForkNotice(1, junk))])
+    assert not notices(out)
+    assert [env.dst for env in out if isinstance(env.payload, EventRequest)] == [2]
+    out = node.step(1, [])
+    assert not notices(out)
+    assert node._announced == set()
 
 
 @pytest.mark.parametrize(
@@ -400,9 +417,7 @@ def test_pipeline_matches_batch_recompute():
     node = nodes[0]
     batch_layering = layer_lpl(node.chain)
     assert node.lstate.layering.phi == batch_layering.phi
-    batch_rg = build_root_graph(
-        node.chain, batch_layering, 4, frozenset(node.victims)
-    )
+    batch_rg = build_root_graph(node.chain, batch_layering, 4)
     got = {r: rec.frame for r, rec in node.engine.graph.roots.items()}
     want = {r: rec.frame for r, rec in batch_rg.roots.items()}
     assert got == want
@@ -450,74 +465,22 @@ def test_stage_progression_is_monotone():
 # -- the incremental pipeline against a from-scratch oracle -------------------
 
 
-def oracle_decide(chain, frames, rid, a, q):
-    """One root's Clotho decision, recomputed from the whole frames."""
-    witness_pool = frames.get(a + 1, [])
-    cand_idx = chain.index_of(rid)
-    reaching = [w for w in witness_pool if chain.ancestor_mask(w) >> cand_idx & 1]
-    if len(reaching) < q:
-        return None
-    positions = {chain.index_of(w): w for w in reaching}
-    reaching_mask = 0
-    for i in positions:
-        reaching_mask |= 1 << i
-    for nom in sorted(frames.get(a + 3, ()), key=lambda x: chain.get(x).sort_key()):
-        seen = chain.ancestor_mask(nom) & reaching_mask
-        if seen.bit_count() >= q:
-            witnesses = frozenset(positions[i] for i in positions if seen >> i & 1)
-            return ClothoRecord(rid, a, nom, witnesses)
-    return None
-
-
 def oracle_pipeline(node):
-    """Clothos and eligible main chain from scratch over the node's state.
+    """Roots, Clothos and the final order from scratch over the node's chain.
 
-    Rebuilds the frame partition from the promotion order, decides every
-    root, sorts the whole root pool and scans it from the start.
+    One engine update over every event, one election over every root,
+    and every complete frame's Clothos emitted into a fresh order.
     """
-    chain, rg, layering = node.chain, node.engine.graph, node.lstate.layering
-    frames = {}
-    for rid in rg.order:
-        frames.setdefault(rg.roots[rid].frame, []).append(rid)
-    q = quorum(node.n)
-    clothos = {}
-    for rid, rec in rg.roots.items():
-        found = oracle_decide(chain, frames, rid, rec.frame, q)
-        if found:
-            clothos[rid] = found
-    horizon = max(frames, default=0) - 3 - FINALITY_MARGIN
-    settled = layering.height - node.settle_slack
-    phi = layering.phi
-    pool = sorted(
-        (
-            r
-            for r, rec in rg.roots.items()
-            if rec.frame <= horizon and r in phi and r not in node.victims
-        ),
-        key=lambda r: sort_vertex_key(chain, layering, r),
-    )
-    eligible = []
-    for r in pool:
-        if phi[r] > settled:
-            break
-        rec = clothos.get(r)
-        if rec is not None:
-            if phi[rec.nominator] > settled:
-                break
-            eligible.append(r)
-            continue
-        a = rg.roots[r].frame
-        witness_frame = frames.get(a + 1, [])
-        if any(phi[w] > settled for w in witness_frame):
-            break
-        r_idx = chain.index_of(r)
-        wits = sum(1 for w in witness_frame if chain.ancestor_mask(w) >> r_idx & 1)
-        if wits < q:
-            continue
-        if all(phi[x] <= settled for x in frames.get(a + 3, [])):
-            continue
-        break
-    return clothos, eligible
+    chain, layering = node.chain, node.lstate.layering
+    rg = build_root_graph(chain, layering, node.n)
+    election = Election(node.n)
+    clothos = select_clothos(chain, rg, node.n, election)
+    order = FinalOrder()
+    for f in range(1, election.complete):
+        frame = {c: clothos[c] for c in election.by_frame.get(f, ())}
+        fresh = select_atropos(chain, layering, frame, order)
+        topo_sort_finalize(chain, layering, order, fresh)
+    return rg, clothos, order
 
 
 def oracle_stages(node, stages, clothos):
@@ -550,9 +513,11 @@ def run_against_oracle(node, run_pipeline):
     """Run the pipeline and check it against the oracle."""
     before = dict(node.stages)
     run_pipeline(node)
-    clothos, eligible = oracle_pipeline(node)
+    rg, clothos, order = oracle_pipeline(node)
+    assert node.engine.graph.roots == rg.roots
     assert node.clothos == clothos
-    assert node.order.main_chain == eligible
+    assert node.order.main_chain == order.main_chain
+    assert node.order.ordered_events == order.ordered_events
     stages, positions = oracle_stages(node, before, clothos)
     assert node.stages == stages
     assert node.final_positions == positions
@@ -595,7 +560,7 @@ def test_incremental_pipeline_matches_from_scratch_oracle(cfg, monkeypatch):
 
     def checked(node):
         run_against_oracle(node, incremental)
-        runs.append(node.engine.generation)
+        runs.append(len(node.order.ordered_events))
 
     monkeypatch.setattr(NodeState, "run_pipeline", checked)
     txs = {
@@ -604,7 +569,6 @@ def test_incremental_pipeline_matches_from_scratch_oracle(cfg, monkeypatch):
     result = simnet.run(cfg, transactions=txs)
     honest = list(result.nodes.values())
     assert len(runs) > cfg.steps
-    assert sum(node.engine.generation for node in honest) > len(runs) // 2
     assert all(node.order.ordered_events for node in honest)
     assert all(
         ConfirmationStage.FINALIZED in node.stages.values() for node in honest
@@ -612,19 +576,20 @@ def test_incremental_pipeline_matches_from_scratch_oracle(cfg, monkeypatch):
 
 
 def test_incremental_pipeline_matches_oracle_on_shuffled_streams():
-    # events arriving slightly out of order lower the top frame now and
-    # then, which moves the emission horizon down
-    falls = finalized = 0
+    # events arriving out of order are framed and voted on as they come,
+    # yet the final order is the one the chain gives in insertion order
+    finalized = 0
     for seed in range(8):
         rng = random.Random(f"oracle-stream/{seed}")
         n = rng.randint(3, 5)
         chain = random_chain(rng, n, 150, k=n)
-        node = NodeState(0, n, seed="oracle-stream", settle_slack=2)
+        node = NodeState(0, n, seed="oracle-stream")
         for e in causal_shuffle(chain, rng, window=3):
             node.ingest_events([e])
-            top = node.engine.graph.max_frame
             run_against_oracle(node, NodeState.run_pipeline)
-            falls += node.engine.graph.max_frame < top and top > 3 + FINALITY_MARGIN
+        in_order = NodeState(0, n, seed="oracle-stream")
+        in_order.ingest_events(list(chain.in_insertion_order()))
+        in_order.run_pipeline()
+        assert node.order.ordered_events == in_order.order.ordered_events
         finalized += len(node.order.ordered_events)
-    assert falls >= 20
     assert finalized >= 300

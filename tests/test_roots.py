@@ -1,10 +1,11 @@
-"""Root selection, frame assignment, and the incremental engine."""
+"""Own-past frames, roots, and the engine that assigns them."""
 
 import random
 
 import pytest
 
 from chaingen import causal_shuffle, random_chain
+from test_chain import dfs_reachability, forked_blocks
 from layerdag.chain import Chain
 from layerdag.errors import MissingLayering
 from layerdag.events import make_event, make_leaf
@@ -54,9 +55,17 @@ def test_leaves_are_frame_one_roots():
             assert rg.roots[e.id].frame == 1
 
 
+def prior_roots(chain, rg, u):
+    """The root-graph edges of root ``u``: previous-frame roots in its past."""
+    f = rg.roots[u].frame
+    return {
+        r for r in rg.frames.get(f - 1, ()) if chain.happened_before(r, u)
+    }
+
+
 def test_event_reaching_quorum_becomes_root_with_edges():
-    # n=4: an event reaching 3 of the 4 active roots is promoted and
-    # carries one edge per reached root
+    # n=4: an event whose past holds 3 of the 4 frame-1 roots opens
+    # frame 2, with an edge to each of those roots
     chain = Chain()
     leaves = []
     for c in range(4):
@@ -67,7 +76,8 @@ def test_event_reaching_quorum_becomes_root_with_edges():
     chain.insert(v)
     rg = build_root_graph(chain, layer_lpl(chain), 4)
     assert v.id in rg.roots
-    assert set(rg.edges[v.id]) == {leaves[0].id, leaves[1].id, leaves[2].id}
+    assert rg.roots[v.id].frame == 2
+    assert prior_roots(chain, rg, v.id) == {leaves[0].id, leaves[1].id, leaves[2].id}
 
 
 def test_event_below_quorum_not_promoted():
@@ -86,8 +96,7 @@ def test_event_below_quorum_not_promoted():
 def test_root_reaching_quorum_of_frame_one_gets_frame_two():
     chain = round_robin_chain(4, 1)
     rg = build_root_graph(chain, layer_lpl(chain), 4)
-    frames = rg.frame_members()
-    assert len(frames[1]) == 4
+    assert len(rg.frames[1]) == 4
     round_one = [
         e.id for e in chain.in_insertion_order() if e.creation_seq == 1
     ]
@@ -112,75 +121,56 @@ def test_round_robin_frames_strictly_increase_per_creator():
 
 
 def test_edges_respect_reachability():
+    # every root above frame 1 reaches previous-frame roots of a quorum
+    # of creators, which is what opened its frame
     rng = random.Random("root-edges")
     chain = random_chain(rng, 5, 60)
     rg = build_root_graph(chain, layer_lpl(chain), 5)
-    for u, v in rg.edge_pairs():
-        assert chain.happened_before(v, u)
+    assert rg.max_frame >= 3
+    for u, rec in rg.roots.items():
+        if rec.frame > 1:
+            creators = {rg.roots[v].creator for v in prior_roots(chain, rg, u)}
+            assert len(creators) >= quorum(5)
 
 
 def test_assign_root_frames_monotone_along_edges():
     chain = round_robin_chain(5, 6)
-    rg = build_root_graph(chain, layer_lpl(chain), 5)
-    assert rg.edges
-    for u, targets in rg.edges.items():
-        for v in targets:
-            assert rg.roots[u].frame > rg.roots[v].frame
+    layering = layer_lpl(chain)
+    engine = RootGraphEngine(5)
+    rg = engine.update(chain, layering, list(layering.phi))
+    for e in chain.in_insertion_order():
+        for r in e.refs:
+            assert engine.frame[e.id] >= engine.frame[r]
+    edges = [(u, v) for u in rg.roots for v in prior_roots(chain, rg, u)]
+    assert edges
+    for u, v in edges:
+        assert rg.roots[u].frame > rg.roots[v].frame
 
 
-def test_engine_incremental_equals_batch():
-    rng = random.Random("engine-incr")
-    chain = random_chain(rng, 5, 80)
-    blocks = list(chain.in_insertion_order())
+def stream_into_engine(blocks, n):
+    """Feed blocks to an engine one at a time, online-layered.
+
+    Yields (chain so far, engine) after every update.
+    """
     replay = Chain()
     state = LayeringState(Layering())
-    engine = RootGraphEngine(5)
+    engine = RootGraphEngine(n)
     for e in blocks:
         replay.insert(e)
         diff = DiffGraph((e.id,), tuple((e.id, r) for r in e.refs))
         layer_lpl_online(state, diff, replay)
         engine.update(replay, state.layering, [e.id])
+        yield replay, engine
+
+
+def test_engine_incremental_equals_batch():
+    rng = random.Random("engine-incr")
+    chain = random_chain(rng, 5, 80)
+    for _, engine in stream_into_engine(list(chain.in_insertion_order()), 5):
+        pass
     batch = build_root_graph(chain, layer_lpl(chain), 5)
-    assert {r: engine.graph.roots[r].frame for r in engine.graph.roots} == {
-        r: batch.roots[r].frame for r in batch.roots
-    }
-    assert engine.graph.edges == batch.edges
-
-
-def test_engine_rolls_back_on_low_layer_insertion():
-    # creators 0..3 advance while creator 4 stays silent; its leaf then
-    # arrives at layer 1, far below the processed frontier
-    n = 5
-    chain = Chain()
-    tips = {}
-    for c in range(4):
-        leaf = make_leaf(c)
-        chain.insert(leaf)
-        tips[c] = leaf
-    for r in range(6):
-        new_tips = {}
-        for c in range(4):
-            others = tuple(tips[p] for p in range(4) if p != c)
-            e = make_event(c, tips[c], others, payload=b"%d" % r)
-            chain.insert(e)
-            new_tips[c] = e
-        tips = new_tips
-
-    layering = layer_lpl(chain)
-    engine = RootGraphEngine(n)
-    engine.update(chain, layering, list(layering.phi))
-    gen_before = engine.generation
-
-    late = make_leaf(4)
-    chain.insert(late)
-    layering = layer_lpl(chain)
-    engine.update(chain, layering, [late.id])
-    assert engine.generation > gen_before
-
-    batch = build_root_graph(chain, layering, n)
-    assert {r: engine.graph.roots[r].frame for r in engine.graph.roots} == {
-        r: batch.roots[r].frame for r in batch.roots
-    }
+    assert engine.graph.roots == batch.roots
+    assert engine.graph.frames == batch.frames
 
 
 def test_engine_requires_layered_events():
@@ -192,75 +182,62 @@ def test_engine_requires_layered_events():
         engine.update(chain, Layering(), [leaf.id])
 
 
-def rebuilt_partition(rg):
-    frames = {}
-    for rid in rg.order:
-        frames.setdefault(rg.roots[rid].frame, []).append(rid)
-    return frames
+def scratch_frames(chain, n):
+    """Frames and roots recomputed from the final chain alone.
 
-
-def stream_into_engine(blocks, n):
-    """Feed blocks to an engine one at a time, online-layered.
-
-    Yields (chain so far, engine, frame members before, roots before)
-    after every update.
+    Pasts come from a depth-first walk over refs and each event is
+    framed after its parents, by the rule: the largest parent frame,
+    plus one when the past holds roots of that frame from a quorum of
+    creators; a root is a leaf or an event above its self parent's frame.
     """
-    replay = Chain()
-    state = LayeringState(Layering())
-    engine = RootGraphEngine(n)
-    for e in blocks:
-        replay.insert(e)
-        diff = DiffGraph((e.id,), tuple((e.id, r) for r in e.refs))
-        layer_lpl_online(state, diff, replay)
-        before = {f: set(m) for f, m in engine.graph.frames.items()}
-        roots_before = dict(engine.graph.roots)
-        engine.update(replay, state.layering, [e.id])
-        yield replay, engine, before, roots_before
+    past = dfs_reachability(chain)
+    q = quorum(n)
+    frame, roots = {}, {}
+    for e in sorted(chain.events.values(), key=lambda e: e.sort_key()):
+        if e.is_leaf:
+            f = 1
+        else:
+            f = max(frame[r] for r in e.refs)
+            seen = {roots[r] for r in past[e.id] if roots.get(r) is not None and frame[r] == f}
+            f += len(seen) >= q
+        frame[e.id] = f
+        if e.is_leaf or f > frame[e.self_ref]:
+            roots[e.id] = e.creator
+    return frame, set(roots)
 
 
-@pytest.mark.parametrize("seed", ["a", "b", "c"])
-def test_kept_partition_and_changes_track_promotions_and_rollbacks(seed):
-    rng = random.Random(f"kept-partition/{seed}")
-    chain = random_chain(rng, 5, 90)
-    generations = set()
-    for replay, engine, before, roots_before in stream_into_engine(
-        causal_shuffle(chain, rng), 5
-    ):
-        rg = engine.graph
-        changes = engine.take_changes()
-        generations.add(engine.generation)
-        # the kept partition is the one rebuilt from the promotion order
-        assert rg.frame_members() == rebuilt_partition(rg)
-        # the changes are exactly what differs from the graph before
-        after = {f: set(m) for f, m in rg.frames.items()}
-        differ = {
-            f for f in before.keys() | after.keys() if before.get(f) != after.get(f)
-        }
-        assert changes.frames == differ
-        assert set(changes.added) == {
-            r for r, rec in rg.roots.items() if roots_before.get(r) != rec
-        }
-        assert set(changes.dropped) == {
-            rec for r, rec in roots_before.items() if rg.roots.get(r) != rec
-        }
-    assert len(generations) > 10  # the stream rolled the engine back often
-    batch = build_root_graph(chain, layer_lpl(chain), 5)
-    assert engine.graph.frame_members() == rebuilt_partition(batch)
+def shuffled_streams():
+    for seed in range(4):
+        rng = random.Random(f"frames/{seed}")
+        yield causal_shuffle(random_chain(rng, rng.randint(3, 6), 120, k=3), rng)
+    for seed in range(4):
+        rng = random.Random(f"frames/forked/{seed}")
+        chain = Chain()
+        for e in forked_blocks(rng, rng.randint(3, 5), 120, 3):
+            chain.insert(e)
+        yield causal_shuffle(chain, rng)
 
 
-def test_rollback_below_every_layer_keeps_the_partition():
-    # a late leaf (layer 1) sends the engine back to the start; the
-    # replay promotes every earlier root again into the same frame
-    n = 5
-    chain = round_robin_chain(4, 3)
-    late = make_leaf(4)
-    blocks = list(chain.in_insertion_order()) + [late]
-    for _, engine, before, roots_before in stream_into_engine(blocks, n):
-        generation = engine.generation
-        changes = engine.take_changes()
-    assert engine.generation == generation > 0
-    assert engine.graph.frame_members() == rebuilt_partition(engine.graph)
-    assert roots_before.items() <= engine.graph.roots.items()
-    assert list(changes.added) == [late.id]
-    assert changes.dropped == []
-    assert changes.frames == {1}
+@pytest.mark.parametrize(
+    "blocks",
+    list(shuffled_streams()),
+    ids=[f"honest{i}" for i in range(4)] + [f"forked{i}" for i in range(4)],
+)
+def test_own_past_frames_match_a_from_scratch_recomputation(blocks):
+    n = 1 + max(e.creator for e in blocks)
+    seen = {}
+    for replay, engine in stream_into_engine(blocks, n):
+        # a frame, once assigned, never changes
+        assert seen.items() <= engine.frame.items()
+        seen = dict(engine.frame)
+    frame, roots = scratch_frames(replay, n)
+    assert engine.frame == frame
+    assert set(engine.graph.roots) == roots
+    assert {r: rec.frame for r, rec in engine.graph.roots.items()} == {
+        r: frame[r] for r in roots
+    }
+    # every frame below the top holds roots of a quorum of creators
+    for f in range(1, engine.graph.max_frame):
+        members = engine.graph.frames[f]
+        assert len({engine.graph.roots[r].creator for r in members}) >= quorum(n)
+    assert engine.graph.max_frame >= 5

@@ -6,6 +6,7 @@ import io
 import pytest
 
 from layerdag import io as chainio
+from layerdag import simnet
 from layerdag.errors import ConfigError, InvalidCut
 from layerdag.node import ConfirmationStage
 from layerdag.simnet import (
@@ -179,6 +180,47 @@ def test_silent_node_slows_but_does_not_stop_finality():
     cfg = SimConfig(n=7, steps=80, seed="quiet", byzantine={6: "silent"})
     result = run(cfg)
     assert result.nodes[0].order.ordered_events
+
+
+# -- schedules that once split or stalled finality --------------------------------
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_straggler_does_not_split_honest_orders(seed, monkeypatch):
+    # node 4's messages arrive 20 steps late through step 150, past any
+    # delay the rand:2 model itself makes
+    send = simnet.Transport.send
+
+    def late(transport, env, now):
+        return send(transport, env, now + 20 if env.src == 4 and now <= 150 else now)
+
+    monkeypatch.setattr(simnet.Transport, "send", late)
+    cfg = SimConfig(n=5, steps=300, seed=f"strag/{seed}", delay_model="rand", delay_arg=2)
+    result = run(cfg)
+    check_identical_orders(result)
+    assert len(result.nodes[0].order.ordered_events) >= 1200
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SimConfig(
+            n=7,
+            steps=300,
+            seed="fp/1",
+            delay_model="reorder",
+            delay_arg=2,
+            byzantine={5: "forker", 6: "forker"},
+        ),
+        SimConfig(n=10, steps=200, seed="fp/2", delay_model="rand", delay_arg=3),
+    ],
+    ids=["fp1-reorder-forkers", "fp2-n10-rand3"],
+)
+def test_frames_stay_thick_enough_to_finalize(cfg):
+    result = run(cfg)
+    check_identical_orders(result)
+    for node in result.nodes.values():
+        assert len(node.order.ordered_events) >= 0.85 * len(node.chain)
 
 
 # -- negative controls for the checkers ----------------------------------------------
