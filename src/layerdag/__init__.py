@@ -5,7 +5,7 @@ from .errors import LayerDagError
 from .events import EventBlock, EventId, NodeId, make_event, make_leaf
 from .finality import AtroposRecord, ClothoRecord, FinalOrder
 from .layering import Layering, layer_cg, layer_lpl, max_width, transitive_reduce
-from .node import ConfirmationStage, NodeState, PeerStrategy
+from .node import ConfirmationStage, NodeState
 from .roots import RootGraph, build_root_graph, quorum
 from .simnet import RunResult, SimConfig, run
 
@@ -21,7 +21,6 @@ __all__ = [
     "Layering",
     "NodeId",
     "NodeState",
-    "PeerStrategy",
     "RootGraph",
     "RunResult",
     "SimConfig",

@@ -339,7 +339,7 @@ class Chain:
         rest = self.ids_from_mask(mask & ~(self._self_anc[y] | 1 << bit))
         return [x for x in rest if not self._self_anc[x] >> bit & 1]
 
-    # -- sync support ---------------------------------------------------
+    # -- transfer between replicas -------------------------------------
 
     def known_map(self) -> KnownMap:
         return {c: len(ids) for c, ids in sorted(self.by_creator.items())}

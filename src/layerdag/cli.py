@@ -18,7 +18,7 @@ from . import io as chainio
 from .chain import Chain
 from .errors import ConfigError, LayerDagError
 from .layering import layer_cg, layer_lpl, max_width, transitive_reduce
-from .node import NodeState, PeerStrategy
+from .node import NodeState
 from .simnet import (
     RunResult,
     SimConfig,
@@ -69,16 +69,11 @@ def _parse_delay(spec: str) -> tuple[str, float]:
 
 def _sim_config(args: argparse.Namespace) -> SimConfig:
     model, delay_arg = _parse_delay(args.delay)
-    try:
-        strategy = PeerStrategy(args.strategy)
-    except ValueError as exc:
-        raise ConfigError(f"unknown strategy {args.strategy!r}") from exc
     cfg = SimConfig(
         n=args.nodes,
         k=args.k,
         steps=args.steps,
         seed=args.seed,
-        strategy=strategy,
         layering_algo=args.algo,
         width=args.width,
         byzantine=_parse_byzantine(args.byzantine),
@@ -131,7 +126,6 @@ def _write_run_artifacts(result: RunResult, out: Path) -> None:
                 ("k", cfg.k if cfg.k is not None else min(3, cfg.n)),
                 ("steps", cfg.steps),
                 ("seed", cfg.seed),
-                ("strategy", cfg.strategy.value),
                 ("algo", cfg.layering_algo),
                 ("width", cfg.width if cfg.width is not None else ""),
                 ("byzantine", byz),
@@ -285,7 +279,6 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--seed", default="0")
-    p.add_argument("--strategy", default="random")
     p.add_argument("--algo", choices=("lpl", "cg"), default="lpl")
     p.add_argument("--width", type=int, default=None)
     p.add_argument("--byzantine", default="")

@@ -69,10 +69,6 @@ class MissingLayering(LayerDagError):
 
 # --- node / harness errors ------------------------------------------------
 
-class NotEnoughPeers(LayerDagError):
-    pass
-
-
 class UnknownTransaction(LayerDagError):
     pass
 

@@ -3,23 +3,22 @@
 Each node keeps a local chain replica, an online layering, the root
 graph, and the finality pipeline.  A step consumes the inbox, ingests
 whatever became deliverable, emits a new event referencing fresh tips,
-syncs with chosen peers, and advances consensus.
+broadcasts it to every peer, and advances consensus.  A node that
+receives an event whose parents it lacks asks the sender for them.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import random
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from enum import IntEnum
 
 from .chain import Chain, KnownMap
 from .errors import (
     ConfigError,
     IncompleteCoverage,
     MissingRef,
-    NotEnoughPeers,
     UnknownTransaction,
 )
 from .events import EventBlock, EventId, NodeId, make_event, make_leaf
@@ -60,26 +59,7 @@ class ConfirmationStage(IntEnum):
     FINALIZED = 4
 
 
-class PeerStrategy(str, Enum):
-    RANDOM = "random"
-    LEAST_USED = "least"
-    MOST_USED = "most"
-    FAIR = "fair"
-    SMART = "smart"
-
-
 # -- messages ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SyncRequest:
-    known: KnownMap
-
-
-@dataclass(frozen=True)
-class SyncResponse:
-    events: tuple[EventBlock, ...]
-    known: KnownMap
 
 
 @dataclass(frozen=True)
@@ -89,7 +69,6 @@ class Broadcast:
 
 @dataclass(frozen=True)
 class ForkNotice:
-    creator: NodeId
     pair: tuple[EventId, EventId]
 
 
@@ -111,7 +90,7 @@ class EventResponse:
     events: tuple[EventBlock, ...]
 
 
-Message = SyncRequest | SyncResponse | Broadcast | ForkNotice | EventRequest | EventResponse
+Message = Broadcast | ForkNotice | EventRequest | EventResponse
 
 
 @dataclass
@@ -136,8 +115,6 @@ class NodeState:
         node_id: NodeId,
         n: int,
         k: int | None = None,
-        seed: str = "0",
-        strategy: PeerStrategy = PeerStrategy.RANDOM,
         layering_algo: str = "lpl",
         width: int | None = None,
         w_p: int = 0,
@@ -150,8 +127,7 @@ class NodeState:
         self.k = k if k is not None else min(3, n)
         if self.k < 1 or self.k > n:
             raise ConfigError(f"k={self.k} out of range for n={n}")
-        self.strategy = strategy
-        self.rng = random.Random(f"{seed}/node/{node_id}")
+        self.peers: list[NodeId] = [p for p in range(n) if p != node_id]
         self.layering_algo = layering_algo
         if layering_algo == "cg":
             self.width = width if width is not None else math.ceil(max_width(n, w_p, w_c))
@@ -183,10 +159,6 @@ class NodeState:
         self.stages: dict[bytes, ConfirmationStage] = {}
         self.final_positions: dict[bytes, int] = {}
         self._unfinalized: set[bytes] = set()  # payloads of tx_event not yet final
-
-        # peer-selection bookkeeping
-        self.syncs_initiated: dict[NodeId, int] = {p: 0 for p in range(n) if p != node_id}
-        self.events_received: dict[NodeId, int] = {p: 0 for p in range(n) if p != node_id}
 
         self._fresh: list[EventId] = []  # inserted since last pipeline run
 
@@ -325,38 +297,7 @@ class NodeState:
             x != e.id and self.chain.get(x).sort_key() < key for x in rivals
         )
 
-    # -- syncing ----------------------------------------------------------
-
-    def select_peers(self, count: int = 1) -> list[NodeId]:
-        peers = sorted(self.syncs_initiated)
-        if not peers:
-            raise NotEnoughPeers("node has no peers")
-        count = min(count, len(peers))
-        if self.strategy is PeerStrategy.RANDOM:
-            return self.rng.sample(peers, count)
-        if self.strategy is PeerStrategy.LEAST_USED:
-            ranked = sorted(peers, key=lambda p: (self.syncs_initiated[p], p))
-        elif self.strategy is PeerStrategy.MOST_USED:
-            ranked = sorted(peers, key=lambda p: (-self.syncs_initiated[p], p))
-        elif self.strategy is PeerStrategy.FAIR:
-            low = min(self.syncs_initiated.values())
-            pool = [p for p in peers if self.syncs_initiated[p] == low]
-            return self.rng.sample(pool, min(count, len(pool)))
-        else:  # SMART: favour peers that historically return more events
-            def rate(p: NodeId) -> float:
-                s = self.syncs_initiated[p]
-                return self.events_received[p] / s if s else float("inf")
-
-            ranked = sorted(peers, key=lambda p: (-rate(p), p))
-        return ranked[:count]
-
-    def start_sync(self, peer: NodeId) -> Envelope:
-        self.syncs_initiated[peer] += 1
-        return Envelope(self.id, peer, SyncRequest(self.chain.known_map()))
-
-    def handle_sync_request(self, src: NodeId, msg: SyncRequest) -> Envelope:
-        events = tuple(self.chain.diff_events(msg.known))
-        return Envelope(self.id, src, SyncResponse(events, self.chain.known_map()))
+    # -- message handling ---------------------------------------------------
 
     def _request_missing(self, src: NodeId) -> None:
         wanted = sorted(
@@ -373,14 +314,7 @@ class NodeState:
 
     def handle_message(self, env: Envelope) -> None:
         msg = env.payload
-        if isinstance(msg, SyncRequest):
-            self.outbox.append(self.handle_sync_request(env.src, msg))
-        elif isinstance(msg, SyncResponse):
-            report = self.ingest_events(list(msg.events))
-            self.events_received[env.src] += len(report.accepted)
-            if self.pending:
-                self._request_missing(env.src)
-        elif isinstance(msg, Broadcast):
+        if isinstance(msg, Broadcast):
             self.ingest_events(list(msg.events))
             if self.pending:
                 self._request_missing(env.src)
@@ -397,7 +331,8 @@ class NodeState:
                 x for x in msg.pair if x not in self.chain and x not in self.quarantine
             )
             if unknown:
-                # fork members nobody references never ride on normal syncs
+                # fork members nobody references are never pulled in as
+                # missing parents
                 self.outbox.append(
                     Envelope(
                         self.id,
@@ -545,22 +480,19 @@ class NodeState:
     # -- main step -----------------------------------------------------------
 
     def step(self, step_no: int, inbox: list[Envelope], emit: bool = True) -> list[Envelope]:
-        """One scheduler tick: consume inbox, emit, sync, run consensus."""
+        """One scheduler tick: consume inbox, emit, announce forks, run consensus."""
         self.outbox = []
         for env in inbox:
             self.handle_message(env)
         if emit:
             e = self.create_event()
-            for p in sorted(self.syncs_initiated):
+            for p in self.peers:
                 self.outbox.append(Envelope(self.id, p, Broadcast((e,))))
-        for peer in self.select_peers():
-            self.outbox.append(self.start_sync(peer))
         # one notice per fork member is enough for peers to fetch it, so
         # each member not yet announced goes out once, in its smallest pair
         for pair in self._take_notices():
-            creator = self.chain.get(pair[0]).creator
-            for p in sorted(self.syncs_initiated):
-                self.outbox.append(Envelope(self.id, p, ForkNotice(creator, pair)))
+            for p in self.peers:
+                self.outbox.append(Envelope(self.id, p, ForkNotice(pair)))
         # the pipeline is pure bookkeeping over the chain and feeds nothing
         # back into the network, so running it on a cadence only delays
         # local finality reporting, never changes it

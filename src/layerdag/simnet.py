@@ -23,9 +23,6 @@ from .node import (
     EventResponse,
     ForkNotice,
     NodeState,
-    PeerStrategy,
-    SyncRequest,
-    SyncResponse,
 )
 
 DELAY_MODELS = ("lockstep", "rand", "reorder", "drop")
@@ -38,7 +35,6 @@ class SimConfig:
     k: int | None = None
     steps: int = 100
     seed: str = "0"
-    strategy: PeerStrategy = PeerStrategy.RANDOM
     layering_algo: str = "lpl"
     width: int | None = None
     byzantine: dict[NodeId, str] = field(default_factory=dict)
@@ -115,12 +111,11 @@ class Transport:
 
 
 class ByzantineNode:
-    """Adversarial participant that only emits events, never syncs."""
+    """Adversarial participant that only emits events and answers no request."""
 
-    def __init__(self, node_id: NodeId, n: int, seed: str) -> None:
+    def __init__(self, node_id: NodeId, n: int) -> None:
         self.id = node_id
         self.n = n
-        self.rng = random.Random(f"{seed}/node/{node_id}")
         self.chain = Chain()
         self.forked: list[EventBlock] = []  # all members we ever emitted
 
@@ -142,7 +137,7 @@ class ByzantineNode:
         events = [
             e
             for env in inbox
-            if isinstance(env.payload, (Broadcast, SyncResponse, EventResponse))
+            if isinstance(env.payload, (Broadcast, EventResponse))
             for e in env.payload.events
         ]
         for e in sorted(events, key=EventBlock.sort_key):
@@ -164,8 +159,8 @@ class Silent(ByzantineNode):
 class Forker(ByzantineNode):
     """Emits w_p parallel self-chains of depth w_c, broadcasting all members."""
 
-    def __init__(self, node_id: NodeId, n: int, seed: str, w_p: int, w_c: int) -> None:
-        super().__init__(node_id, n, seed)
+    def __init__(self, node_id: NodeId, n: int, w_p: int, w_c: int) -> None:
+        super().__init__(node_id, n)
         self.w_p = max(2, w_p)
         self.w_c = max(1, w_c)
         self.branch_tips: list[EventBlock | None] = [None] * self.w_p
@@ -207,8 +202,8 @@ class Forker(ByzantineNode):
 class Equivocator(ByzantineNode):
     """Maintains two self-chains and shows a different one to each half."""
 
-    def __init__(self, node_id: NodeId, n: int, seed: str) -> None:
-        super().__init__(node_id, n, seed)
+    def __init__(self, node_id: NodeId, n: int) -> None:
+        super().__init__(node_id, n)
         self.tips: list[EventBlock | None] = [None, None]
 
     def step(self, step_no: int, inbox: list[Envelope]) -> list[Envelope]:
@@ -261,11 +256,6 @@ class RunResult:
 
 
 def _summarize(msg) -> str:
-    if isinstance(msg, SyncRequest):
-        known = ",".join(f"{c}:{v}" for c, v in sorted(msg.known.items()))
-        return f"sync-request[{known}]"
-    if isinstance(msg, SyncResponse):
-        return f"sync-response[{len(msg.events)}]"
     if isinstance(msg, Broadcast):
         return f"broadcast[{','.join(e.id.hex()[:8] for e in msg.events)}]"
     if isinstance(msg, ForkNotice):
@@ -287,19 +277,17 @@ def build_nodes(cfg: SimConfig) -> tuple[dict[NodeId, NodeState], dict[NodeId, B
                 i,
                 cfg.n,
                 k=cfg.k,
-                seed=cfg.seed,
-                strategy=cfg.strategy,
                 layering_algo=cfg.layering_algo,
                 width=cfg.width,
                 w_p=cfg.w_p,
                 w_c=cfg.w_c,
             )
         elif kind == "forker":
-            byz[i] = Forker(i, cfg.n, cfg.seed, cfg.w_p or 2, cfg.w_c or 4)
+            byz[i] = Forker(i, cfg.n, cfg.w_p or 2, cfg.w_c or 4)
         elif kind == "equivocator":
-            byz[i] = Equivocator(i, cfg.n, cfg.seed)
+            byz[i] = Equivocator(i, cfg.n)
         else:
-            byz[i] = Silent(i, cfg.n, cfg.seed)
+            byz[i] = Silent(i, cfg.n)
     return honest, byz
 
 
@@ -311,9 +299,10 @@ def run(
     """Execute the simulation and quiesce it.
 
     After the configured steps, a drain phase delivers everything still in
-    flight and lets nodes exchange diff syncs (without emitting new
-    events) until no node learns anything new, so replicas converge on
-    the same chain before snapshots are compared.  ``on_step(step_no,
+    flight (nodes answer it but emit no new events), then exchanges the
+    differences between every pair of honest chains until no node learns
+    anything new, so replicas converge on the same chain before snapshots
+    are compared.  ``on_step(step_no,
     nodes)`` is an observation hook called after every scheduler tick; it
     must not mutate anything.
     """
@@ -354,7 +343,7 @@ def run(
         if on_step is not None:
             on_step(step_no, honest)
 
-    # -- drain phase: flush in-flight traffic, then settle with pure syncs
+    # -- drain phase: flush in-flight traffic, then settle with chain diffs
     step_no = cfg.steps
     while transport.pending():
         step_no += 1
@@ -372,7 +361,7 @@ def run(
                 node.outbox = []
                 for env in inboxes[nid]:
                     node.handle_message(env)
-                # only answer-type messages during drain; no fresh syncs
+                # nodes only answer during drain; they emit no new events
                 dispatch(step_no, node.outbox)
                 node.run_pipeline()
             else:

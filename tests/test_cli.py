@@ -66,7 +66,7 @@ def test_run_byzantine_reports_fork_exclusion(capsys):
             id="forker",
         ),
         pytest.param(
-            ["--algo", "cg", "--width", "6", "--k", "2", "--strategy", "fair"],
+            ["--algo", "cg", "--width", "6", "--k", "2"],
             None,
             id="cg",
         ),
@@ -148,7 +148,7 @@ def test_seed_env_override(tmp_path, monkeypatch):
         ["run", "--delay", "drop:2.0"],
         ["run", "--byzantine", "notanumber:forker"],
         ["run", "--byzantine", "1:sleeper"],
-        ["run", "--strategy", "psychic"],
+        ["run", "--delay", "rand:x"],
         ["run", "--nodes", "1"],
         ["replay", "/nonexistent/dir"],
     ],

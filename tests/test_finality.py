@@ -277,7 +277,7 @@ def test_a_root_arriving_after_its_slot_was_decided_leaves_it_unchanged():
         early += tips.values()
     late_leaf = make_leaf(3)
     late_child = make_event(3, late_leaf, (tips[0], tips[1]))
-    node = NodeState(0, n, seed="late-root")
+    node = NodeState(0, n)
     node.ingest_events(early)
     node.run_pipeline()
     assert node.election.complete > 2

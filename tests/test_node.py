@@ -1,4 +1,4 @@
-"""Node behavior: event creation, ingest, syncing, pipeline, estimates."""
+"""Node behavior: event creation, ingest, messages, pipeline, estimates."""
 
 import random
 
@@ -23,15 +23,12 @@ from layerdag.node import (
     EventRequest,
     ForkNotice,
     NodeState,
-    PeerStrategy,
-    SyncRequest,
-    SyncResponse,
 )
 from layerdag.roots import build_root_graph
 
 
 def fresh_node(node_id=0, n=4, **kw):
-    return NodeState(node_id, n, seed="test", **kw)
+    return NodeState(node_id, n, **kw)
 
 
 def lockstep_round(nodes, step_no):
@@ -174,22 +171,7 @@ def test_duplicate_delivery_is_harmless():
     assert len(node.chain) == 1
 
 
-# -- syncing and messages -----------------------------------------------------
-
-
-def test_sync_roundtrip_carries_missing_events():
-    a, b = fresh_node(0), fresh_node(1)
-    for _ in range(3):
-        b.ingest_events([a.create_event()])
-        a.ingest_events([b.create_event()])
-    ahead = a.create_event()
-    req = a.start_sync(1)
-    assert isinstance(req.payload, SyncRequest)
-    resp = b.handle_sync_request(0, req.payload)
-    # b answers with what a is missing relative to a's counts: nothing,
-    # since a is ahead; the reverse direction carries the new event
-    resp2 = a.handle_sync_request(1, SyncRequest(b.chain.known_map()))
-    assert ahead.id in {e.id for e in resp2.payload.events}
+# -- messages -------------------------------------------------------------------
 
 
 def test_fork_notice_triggers_event_request():
@@ -197,7 +179,7 @@ def test_fork_notice_triggers_event_request():
     ghost_a = make_leaf(7)
     ghost_b = make_event(7, ghost_a, ())
     pair = tuple(sorted((ghost_a.id, ghost_b.id)))
-    node.handle_message(Envelope(1, 0, ForkNotice(7, pair)))
+    node.handle_message(Envelope(1, 0, ForkNotice(pair)))
     requests = [
         env for env in node.outbox if isinstance(env.payload, EventRequest)
     ]
@@ -233,11 +215,7 @@ class PairQueueFlush:
         for pair in sorted(self.queue):
             if pair[0] in self.announced and pair[1] in self.announced:
                 continue
-            creator = chain.get(pair[0]).creator if pair[0] in chain else -1
-            out += [
-                Envelope(node.id, p, ForkNotice(creator, pair))
-                for p in sorted(node.syncs_initiated)
-            ]
+            out += [Envelope(node.id, p, ForkNotice(pair)) for p in node.peers]
             self.announced.update(pair)
         self.queue = []
         return out
@@ -283,7 +261,7 @@ def test_notice_for_members_not_yet_held_is_not_relayed(monkeypatch):
     child = make_event(1, second, (), payload=b"c")
     pair = tuple(sorted((first.id, second.id)))
     # the notice comes first: its members are asked for, not announced
-    out = node.step(0, [Envelope(2, 0, ForkNotice(1, pair))])
+    out = node.step(0, [Envelope(2, 0, ForkNotice(pair))])
     assert not notices(out)
     (request,) = [env for env in out if isinstance(env.payload, EventRequest)]
     assert request.dst == 2 and set(request.payload.wanted) == set(pair)
@@ -295,14 +273,14 @@ def test_notice_for_members_not_yet_held_is_not_relayed(monkeypatch):
     # the child pulls the quarantined member in: both new members go out
     out = node.step(2, [Envelope(2, 0, Broadcast((child,)))])
     pairs = sorted({pair, tuple(sorted((first.id, child.id)))})
-    assert notices(out) == [ForkNotice(1, p) for p in pairs for _ in range(3)]
+    assert notices(out) == [ForkNotice(p) for p in pairs for _ in range(3)]
     assert seen["sent"] == 6
 
 
 def test_notice_naming_made_up_ids_is_not_relayed():
     node = fresh_node()
     junk = tuple(sorted((b"\x01" * 32, b"\x02" * 32)))
-    out = node.step(0, [Envelope(2, 0, ForkNotice(1, junk))])
+    out = node.step(0, [Envelope(2, 0, ForkNotice(junk))])
     assert not notices(out)
     assert [env.dst for env in out if isinstance(env.payload, EventRequest)] == [2]
     out = node.step(1, [])
@@ -363,48 +341,10 @@ def test_event_request_carries_known_map_and_gets_only_whats_missing():
 
 
 def test_step_broadcasts_one_event_to_every_peer():
-    node = fresh_node(0, 4)
+    node = fresh_node(1, 4)
     outbox = node.step(1, [])
-    casts = [env for env in outbox if isinstance(env.payload, Broadcast)]
-    assert {env.dst for env in casts} == {1, 2, 3}
-    syncs = [env for env in outbox if isinstance(env.payload, SyncRequest)]
-    assert len(syncs) >= 1
-
-
-# -- peer strategies -----------------------------------------------------------
-
-
-@pytest.mark.parametrize("strategy", list(PeerStrategy))
-def test_strategies_return_valid_peers(strategy):
-    node = fresh_node(2, 6, strategy=strategy)
-    for _ in range(20):
-        chosen = node.select_peers()
-        assert len(chosen) == 1
-        assert chosen[0] != node.id
-        assert 0 <= chosen[0] < 6
-        node.syncs_initiated[chosen[0]] += 1
-
-
-def test_fair_strategy_cycles_through_everyone():
-    node = fresh_node(0, 5, strategy=PeerStrategy.FAIR)
-    seen = set()
-    for _ in range(4):
-        peer = node.select_peers()[0]
-        seen.add(peer)
-        node.syncs_initiated[peer] += 1
-    assert seen == {1, 2, 3, 4}
-
-
-def test_least_used_strategy_balances():
-    node = fresh_node(0, 4, strategy=PeerStrategy.LEAST_USED)
-    node.syncs_initiated.update({1: 5, 2: 0, 3: 5})
-    assert node.select_peers() == [2]
-
-
-def test_most_used_strategy_repeats():
-    node = fresh_node(0, 4, strategy=PeerStrategy.MOST_USED)
-    node.syncs_initiated.update({1: 5, 2: 0, 3: 1})
-    assert node.select_peers() == [1]
+    (e,) = node.chain.in_insertion_order()
+    assert outbox == [Envelope(1, p, Broadcast((e,))) for p in (0, 2, 3)]
 
 
 # -- pipeline and global state ---------------------------------------------------
@@ -547,7 +487,6 @@ def run_against_oracle(node, run_pipeline):
             layering_algo="cg",
             width=6,
             k=2,
-            strategy=PeerStrategy.FAIR,
             delay_model="rand",
             delay_arg=1,
         ),
@@ -583,11 +522,11 @@ def test_incremental_pipeline_matches_oracle_on_shuffled_streams():
         rng = random.Random(f"oracle-stream/{seed}")
         n = rng.randint(3, 5)
         chain = random_chain(rng, n, 150, k=n)
-        node = NodeState(0, n, seed="oracle-stream")
+        node = NodeState(0, n)
         for e in causal_shuffle(chain, rng, window=3):
             node.ingest_events([e])
             run_against_oracle(node, NodeState.run_pipeline)
-        in_order = NodeState(0, n, seed="oracle-stream")
+        in_order = NodeState(0, n)
         in_order.ingest_events(list(chain.in_insertion_order()))
         in_order.run_pipeline()
         assert node.order.ordered_events == in_order.order.ordered_events

@@ -90,6 +90,34 @@ def test_honest_nodes_agree(model, arg):
         assert set(result.nodes[nid].chain.events) == set(ref.chain.events)
 
 
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("loss", [0.3, 0.5])
+def test_pull_on_missing_reaches_every_event_before_the_drain(loss, seed):
+    # broadcasts are lost and nothing resends them: a replica only gets a
+    # lost event when a later arrival names it as a missing parent
+    cfg = SimConfig(n=5, steps=200, seed=f"pull/{seed}", delay_model="drop", delay_arg=loss)
+    checked = []
+
+    def held_before_drain(step, nodes):
+        if step != cfg.steps:
+            return
+        for c, creator in nodes.items():
+            own = [
+                eid
+                for eid in creator.chain.by_creator[c]
+                if creator.chain.get(eid).creation_seq < cfg.steps - 20
+            ]
+            assert len(own) == cfg.steps - 20
+            for node in nodes.values():
+                assert all(eid in node.chain for eid in own)
+        checked.append(step)
+
+    result = run(cfg, on_step=held_before_drain)
+    assert checked == [cfg.steps]
+    check_identical_orders(result)
+    check_consistent_chains(result)
+
+
 def test_equivalence_theorems_on_forkfree_run():
     cfg = SimConfig(n=5, steps=80, seed="equiv")
     result = run(cfg)
