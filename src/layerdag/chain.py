@@ -8,7 +8,7 @@ enough to run inside the consensus pipeline on every step.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from typing import AbstractSet, Iterable, Iterator
 
 from .errors import (
@@ -31,10 +31,11 @@ class Chain:
 
     A creator is forked once it has two concurrent events (neither a
     self-ancestor of the other).  Only then does the chain keep its
-    events' (lamport, id) keys and ids sorted, so each later insert marks
-    fork victims and finds rivals by bisection instead of pairing the new
-    event with the creator's whole self-chain, and a mask of its events,
-    so ``forks_in`` tells whether a past holds one of its forks.
+    events' (lamport, id) keys sorted, so each later insert marks fork
+    victims by bisection instead of pairing the new event with the
+    creator's whole self-chain, and a mask of its events, so ``forks_in``
+    tells whether a past holds one of its forks and ``first_rival``
+    names a fork member's rival with a few mask operations.
     """
 
     def __init__(self) -> None:
@@ -51,11 +52,9 @@ class Chain:
         self._self_anc: dict[EventId, int] = {}
         # per-creator self-chain tips: events with no same-creator child
         self._tips: dict[NodeId, set[EventId]] = {}
-        # per forked creator, built at its first fork: the sort keys and
-        # the ids of its events, each list ascending, and a bitmask over
-        # the insertion indices of its events
+        # per forked creator, built at its first fork: the sort keys of
+        # its events, ascending, and a bitmask over their insertion indices
         self._fork_keys: dict[NodeId, list[tuple[int, EventId]]] = {}
-        self._fork_ids: dict[NodeId, list[EventId]] = {}
         self._fork_masks: dict[NodeId, int] = {}
         # later-by-(lamport, id) member of every fork pair seen so far
         self._fork_victims: set[EventId] = set()
@@ -179,7 +178,6 @@ class Chain:
             older = self.by_creator[e.creator][:-1]
             keys = sorted(self.events[x].sort_key() for x in older)
             self._fork_keys[e.creator] = keys
-            self._fork_ids[e.creator] = sorted(older)
             self._fork_masks[e.creator] = sum(1 << self._index[x] for x in older)
         key = e.sort_key()
         i = bisect_left(keys, key)
@@ -191,7 +189,6 @@ class Chain:
             self._fork_victims.add(e.id)
         keys.insert(i, key)
         self._fork_victims.update(k[1] for k in keys[i + 1:])
-        insort(self._fork_ids[e.creator], e.id)
         self._fork_masks[e.creator] |= 1 << idx
         return [e.id]
 
@@ -321,23 +318,16 @@ class Chain:
         return out
 
     def first_rival(self, y: EventId) -> EventId:
-        """Smallest-id event concurrent with ``y``, which joined a fork."""
-        return next(
-            x
-            for x in self._fork_ids[self.events[y].creator]
-            if x != y and not self._self_related(x, y)
-        )
+        """Earliest-inserted event concurrent with ``y``, which joined a fork.
 
-    def concurrent_in(self, y: EventId, mask: int) -> list[EventId]:
-        """Events of ``mask`` concurrent with ``y``, in no set order.
-
-        ``mask`` is a bitmask over insertion indices holding only events
-        of ``y``'s creator; dropping ``y`` and its self-ancestors with one
-        mask operation leaves only ``y``'s self-descendants to skip.
+        ``y`` joined a fork, so an event of its creator concurrent with it
+        was inserted before it, and ``y``'s self-descendants all came
+        after it: once ``y`` and its self-ancestors are dropped from the
+        creator's mask, the lowest index left is that rival.
         """
-        bit = self._index[y]
-        rest = self.ids_from_mask(mask & ~(self._self_anc[y] | 1 << bit))
-        return [x for x in rest if not self._self_anc[x] >> bit & 1]
+        mask = self._fork_masks[self.events[y].creator]
+        rest = mask & ~(self._self_anc[y] | 1 << self._index[y])
+        return self._order[(rest & -rest).bit_length() - 1]
 
     # -- transfer between replicas -------------------------------------
 

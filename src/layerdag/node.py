@@ -15,13 +15,15 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 from .chain import Chain, KnownMap
-from .errors import (
-    ConfigError,
-    IncompleteCoverage,
-    MissingRef,
-    UnknownTransaction,
+from .errors import ConfigError, IncompleteCoverage, UnknownTransaction
+from .events import (
+    EventBlock,
+    EventId,
+    NodeId,
+    compute_event_id,
+    make_event,
+    make_leaf,
 )
-from .events import EventBlock, EventId, NodeId, make_event, make_leaf
 from .finality import (
     ClothoRecord,
     Election,
@@ -145,12 +147,9 @@ class NodeState:
         self.victims: set[EventId] = self.chain.fork_victims()
         self.quarantine: dict[EventId, EventBlock] = {}
         self.pending: dict[EventId, EventBlock] = {}  # missing parents
-        # events that joined a fork since the last notice flush in ``step``
-        self._fork_members: list[EventId] = []
-        self._announced: set[EventId] = set()  # fork members already announced
-        # per creator that forked here: bitmask over chain indices of its
-        # events not in ``_announced``
-        self._unannounced: dict[NodeId, int] = {}
+        # one fork pair per event that joined a fork since the last
+        # notice flush in ``step``
+        self._notices: list[tuple[EventId, EventId]] = []
         self.outbox: list[Envelope] = []
 
         # transaction tracking: payload -> (event id or None, stage)
@@ -182,15 +181,8 @@ class NodeState:
             report.accepted.append(e.id)
             report.fork_members.extend(joined)
         if joined:
-            self._fork_members.append(e.id)
-            c = e.creator
-            # the creator's first fork member brings its older events in
-            fresh = joined if c in self._unannounced else self.chain.by_creator[c]
-            mask = self._unannounced.get(c, 0)
-            for x in fresh:
-                if x not in self._announced:
-                    mask |= 1 << self.chain.index_of(x)
-            self._unannounced[c] = mask
+            x = self.chain.first_rival(e.id)
+            self._notices.append((min(x, e.id), max(x, e.id)))
 
     def create_event(self) -> EventBlock:
         """Emit one event over the freshest non-victim tips."""
@@ -237,12 +229,25 @@ class NodeState:
 
         Incoming members of a known fork pair go to quarantine; a
         quarantined event is reinstated when something referencing it
-        arrives, since the chain then needs it for reachability.
+        arrives, since the chain then needs it for reachability.  An
+        event whose id is not the hash of its content is rejected, so no
+        two replicas hold different content under one id.
         """
         report = IngestReport()
         for e in events:
-            if e.id not in self.pending:
-                self.pending[e.id] = e
+            if e.id in self.pending or e.id in self.chain:
+                continue
+            if e.id != compute_event_id(
+                e.creator,
+                e.self_ref,
+                e.other_refs,
+                e.lamport_ts,
+                e.payload,
+                e.creation_seq,
+            ):
+                report.rejected.append((e.id, "id does not match content"))
+                continue
+            self.pending[e.id] = e
         progress = True
         while progress:
             progress = False
@@ -270,8 +275,6 @@ class NodeState:
                     continue
                 try:
                     self._insert(e, report)
-                except MissingRef:
-                    continue
                 except Exception as exc:
                     report.rejected.append((eid, str(exc)))
                 del self.pending[eid]
@@ -325,8 +328,8 @@ class NodeState:
         elif isinstance(msg, EventResponse):
             self.ingest_events(list(msg.events))
         elif isinstance(msg, ForkNotice):
-            # only members held here are announced, when they join a fork
-            # in ``_insert``; the notice itself is never relayed
+            # a node announces only the events that join a fork in its own
+            # chain (see ``step``); a notice received is never relayed
             unknown = tuple(
                 x for x in msg.pair if x not in self.chain and x not in self.quarantine
             )
@@ -342,39 +345,6 @@ class NodeState:
                 )
         else:  # pragma: no cover - exhaustive above
             log.warning("unknown message %r", msg)
-
-    def _take_notices(self) -> list[tuple[EventId, EventId]]:
-        """Announce the smallest fork pair of each unannounced member.
-
-        The pairs considered are, for each event that joined a fork since
-        the last call, its pairs with every event concurrent with it now.
-        Going through them in sorted order and taking each one that still
-        has an unannounced member takes exactly the smallest pair of each
-        unannounced member, so the pairs are never listed: a new member's
-        smallest pair is the one with its smallest-id rival, and an older
-        member pairs only with the new members concurrent with it.
-        Returns the pairs in sorted order and marks their members
-        announced.
-        """
-        best: dict[EventId, tuple[EventId, EventId]] = {}
-
-        def offer(x: EventId, pair: tuple[EventId, EventId]) -> None:
-            if x not in self._announced and (x not in best or pair < best[x]):
-                best[x] = pair
-
-        for y in self._fork_members:
-            x = self.chain.first_rival(y)
-            offer(y, (min(x, y), max(x, y)))
-            mask = self._unannounced[self.chain.get(y).creator]
-            for x in self.chain.concurrent_in(y, mask):
-                offer(x, (min(x, y), max(x, y)))
-        self._fork_members = []
-        pairs = sorted(set(best.values()))
-        for x in {x for pair in pairs for x in pair} - self._announced:
-            self._announced.add(x)
-            e = self.chain.get(x)
-            self._unannounced[e.creator] &= ~(1 << self.chain.index_of(x))
-        return pairs
 
     # -- consensus pipeline ------------------------------------------------
 
@@ -488,11 +458,14 @@ class NodeState:
             e = self.create_event()
             for p in self.peers:
                 self.outbox.append(Envelope(self.id, p, Broadcast((e,))))
-        # one notice per fork member is enough for peers to fetch it, so
-        # each member not yet announced goes out once, in its smallest pair
-        for pair in self._take_notices():
+        # each event that joined a fork here goes out once, paired with its
+        # earliest-inserted rival; a peer that lacks either asks for it,
+        # and older members reach peers through the pair or as missing
+        # parents
+        for pair in self._notices:
             for p in self.peers:
                 self.outbox.append(Envelope(self.id, p, ForkNotice(pair)))
+        self._notices = []
         # the pipeline is pure bookkeeping over the chain and feeds nothing
         # back into the network, so running it on a cadence only delays
         # local finality reporting, never changes it

@@ -64,6 +64,10 @@ class SimConfig:
         k = self.k if self.k is not None else min(3, self.n)
         if not 1 <= k <= self.n:
             raise ConfigError(f"k={k} out of range for n={self.n}")
+        if self.width is not None and self.width < 1:
+            raise ConfigError(f"width must be >= 1, got {self.width}")
+        if self.w_p < 0 or self.w_c < 0:
+            raise ConfigError(f"fork budget w_p={self.w_p}, w_c={self.w_c} is negative")
 
 
 class Transport:

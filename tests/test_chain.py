@@ -5,6 +5,7 @@ import random
 import pytest
 
 from chaingen import causal_shuffle, random_chain
+from layerdag import simnet
 from layerdag.chain import Chain
 from layerdag.errors import (
     DuplicateEvent,
@@ -308,6 +309,44 @@ def test_forks_in_a_past_match_bruteforce():
             assert chain.forks_in(chain.ancestor_mask(eid)) == want
             forked += bool(want)
     assert forked >= 100
+
+
+def earliest_rival(chain, y):
+    """Brute force: the first-inserted event of y's creator concurrent with y."""
+    return next(
+        x
+        for x in chain.in_insertion_order()
+        if x.creator == chain.get(y).creator
+        and x.id != y
+        and not chain.self_ancestor(x.id, y)
+        and not chain.self_ancestor(y, x.id)
+    ).id
+
+
+@pytest.mark.parametrize("kind", ["forker", "equivocator"])
+def test_first_rival_matches_bruteforce(kind):
+    # reordered delivery lets a replica receive rivals in either order
+    cfg = simnet.SimConfig(
+        n=5,
+        steps=40,
+        seed=f"rival/{kind}",
+        delay_model="reorder",
+        delay_arg=2,
+        byzantine={4: kind},
+        w_p=3,
+        w_c=12,
+    )
+    replica = simnet.run(cfg).nodes[0].chain
+    chain = Chain()
+    joined = []
+    for e in replica.in_insertion_order():
+        if chain.insert(e):
+            assert chain.first_rival(e.id) == earliest_rival(chain, e.id)
+            joined.append(e.id)
+    # still the same once the members' self-descendants are held
+    for y in joined:
+        assert chain.first_rival(y) == earliest_rival(chain, y)
+    assert len(joined) >= 20
 
 
 def test_fork_victims_pick_later_sort_key():

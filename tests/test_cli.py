@@ -150,6 +150,10 @@ def test_seed_env_override(tmp_path, monkeypatch):
         ["run", "--byzantine", "1:sleeper"],
         ["run", "--delay", "rand:x"],
         ["run", "--nodes", "1"],
+        ["run", "--algo", "cg", "--width", "0"],
+        ["verify", "--algo", "cg", "--width", "0"],
+        ["run", "--algo", "cg", "--wp", "-3", "--wc", "12"],
+        ["verify", "--wc", "-1"],
         ["replay", "/nonexistent/dir"],
     ],
 )

@@ -1,5 +1,6 @@
 """Node behavior: event creation, ingest, messages, pipeline, estimates."""
 
+import dataclasses
 import random
 
 import pytest
@@ -162,6 +163,22 @@ def test_earlier_leaf_rival_is_inserted():
     assert node.victims == {second.id}
 
 
+def test_ingest_rejects_an_id_that_is_not_the_hash_of_the_content():
+    node = fresh_node()
+    b0 = make_leaf(1)
+    b1 = make_event(1, b0, (), payload=b"genuine")
+    forged = dataclasses.replace(b1, payload=b"forged")
+    made_up = dataclasses.replace(b0, id=b"\x07" * 32)
+    report = node.ingest_events([b0, forged, made_up])
+    assert report.accepted == [b0.id]
+    assert [eid for eid, _ in report.rejected] == [b1.id, made_up.id]
+    assert b1.id not in node.chain and not node.pending
+    # the genuine content under that id still goes in
+    report = node.ingest_events([b1])
+    assert report.accepted == [b1.id]
+    assert node.chain.get(b1.id).payload == b"genuine"
+
+
 def test_duplicate_delivery_is_harmless():
     node = fresh_node()
     b0 = make_leaf(1)
@@ -187,48 +204,26 @@ def test_fork_notice_triggers_event_request():
     assert set(requests[0].payload.wanted) == set(pair)
 
 
-class PairQueueFlush:
-    """Test-only copy of the notice flush that queued every fork pair.
-
-    Each insert queued its event's pair with every concurrent event of
-    its creator already held, and ``step`` sent the queued pairs in
-    sorted order, skipping a pair once both its members were announced.
-    Received notices queue nothing: only held members are announced.
-    """
-
-    def __init__(self):
-        self.queue = []
-        self.announced = set()
-        self.flushed = 0  # chain events already paired
-
-    def flush(self, node):
-        chain = node.chain
-        order = [e.id for e in chain.in_insertion_order()]
-        for y in order[self.flushed:]:
-            for x in chain.by_creator[chain.get(y).creator]:
-                if chain.index_of(x) < chain.index_of(y) and not (
-                    chain.self_ancestor(x, y) or chain.self_ancestor(y, x)
-                ):
-                    self.queue.append((min(x, y), max(x, y)))
-        self.flushed = len(order)
-        out = []
-        for pair in sorted(self.queue):
-            if pair[0] in self.announced and pair[1] in self.announced:
-                continue
-            out += [Envelope(node.id, p, ForkNotice(pair)) for p in node.peers]
-            self.announced.update(pair)
-        self.queue = []
-        return out
+def joined_fork(chain, y):
+    """Brute force: whether an earlier-inserted event of y's creator is concurrent with y."""
+    creator = chain.get(y).creator
+    return any(
+        chain.index_of(x) < chain.index_of(y) and not chain.self_ancestor(x, y)
+        for x in chain.by_creator[creator]
+    )
 
 
-def check_notices_against_pair_queue(monkeypatch):
-    """Make every ``step`` assert its ForkNotices equal the pair-queue flush's.
+def check_notices_name_new_fork_members(monkeypatch):
+    """Make every ``step`` assert the notice rule on what it sends.
 
-    Returns counters of notices sent and of notices that arrived while a
-    member they name was not held.
+    For each event that joined a fork in the sender's chain since its
+    previous step, in insertion order, the step sends exactly one notice
+    to every peer, and the pair names that event and a held event of its
+    creator concurrent with it.  Returns counters of notices sent and of
+    notices that arrived while a member they name was not held.
     """
     step, handle = NodeState.step, NodeState.handle_message
-    flushes = {}
+    checked = {}  # node -> count of its chain events already checked
     seen = {"sent": 0, "early": 0}
 
     def handle_message(node, env):
@@ -238,9 +233,21 @@ def check_notices_against_pair_queue(monkeypatch):
 
     def checked_step(node, step_no, inbox, emit=True):
         out = step(node, step_no, inbox, emit)
-        notices = [env for env in out if isinstance(env.payload, ForkNotice)]
-        assert notices == flushes.setdefault(id(node), PairQueueFlush()).flush(node)
-        seen["sent"] += len(notices)
+        chain = node.chain
+        order = [e.id for e in chain.in_insertion_order()]
+        joined = [y for y in order[checked.get(node, 0):] if joined_fork(chain, y)]
+        checked[node] = len(order)
+        sent = [env for env in out if isinstance(env.payload, ForkNotice)]
+        assert len(sent) == len(joined) * len(node.peers)
+        for i, y in enumerate(joined):
+            group = sent[i * len(node.peers):(i + 1) * len(node.peers)]
+            assert [env.dst for env in group] == node.peers
+            (pair,) = {env.payload.pair for env in group}
+            assert y in pair and pair == tuple(sorted(pair))
+            (x,) = [m for m in pair if m != y]
+            assert x in chain and chain.get(x).creator == chain.get(y).creator
+            assert not (chain.self_ancestor(x, y) or chain.self_ancestor(y, x))
+        seen["sent"] += len(sent)
         return out
 
     monkeypatch.setattr(NodeState, "handle_message", handle_message)
@@ -253,7 +260,7 @@ def notices(out):
 
 
 def test_notice_for_members_not_yet_held_is_not_relayed(monkeypatch):
-    seen = check_notices_against_pair_queue(monkeypatch)
+    seen = check_notices_name_new_fork_members(monkeypatch)
     node = fresh_node()
     b0 = make_leaf(1)
     rivals = [make_event(1, b0, (), payload=p) for p in (b"a", b"b")]
@@ -270,9 +277,10 @@ def test_notice_for_members_not_yet_held_is_not_relayed(monkeypatch):
     out = node.step(1, [Envelope(2, 0, Broadcast((b0, first, second)))])
     assert not notices(out)
     assert second.id in node.quarantine
-    # the child pulls the quarantined member in: both new members go out
+    # the child pulls the quarantined member in: each new member goes out
+    # once, in insertion order, paired with its earliest-inserted rival
     out = node.step(2, [Envelope(2, 0, Broadcast((child,)))])
-    pairs = sorted({pair, tuple(sorted((first.id, child.id)))})
+    pairs = [pair, tuple(sorted((first.id, child.id)))]
     assert notices(out) == [ForkNotice(p) for p in pairs for _ in range(3)]
     assert seen["sent"] == 6
 
@@ -285,7 +293,6 @@ def test_notice_naming_made_up_ids_is_not_relayed():
     assert [env.dst for env in out if isinstance(env.payload, EventRequest)] == [2]
     out = node.step(1, [])
     assert not notices(out)
-    assert node._announced == set()
 
 
 @pytest.mark.parametrize(
@@ -313,8 +320,8 @@ def test_notice_naming_made_up_ids_is_not_relayed():
     ],
     ids=["equivocator", "forker-wp3", "mixed-rand2"],
 )
-def test_fork_notices_match_the_pair_queue_flush(cfg, monkeypatch):
-    seen = check_notices_against_pair_queue(monkeypatch)
+def test_each_new_fork_member_is_announced_once(cfg, monkeypatch):
+    seen = check_notices_name_new_fork_members(monkeypatch)
     simnet.run(cfg)
     assert seen["sent"] >= 300
     assert seen["early"] >= 10
