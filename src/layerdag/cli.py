@@ -28,6 +28,7 @@ from .simnet import (
     check_fork_exclusion,
     check_identical_orders,
     run as run_sim,
+    validate_width,
 )
 
 import math
@@ -190,6 +191,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_layer(args: argparse.Namespace) -> int:
+    validate_width(args.width, args.wp, args.wc)
     chain = _load_chain(args.chain)
     if args.algo == "cg":
         width = args.width
@@ -212,6 +214,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 
 def cmd_finality(args: argparse.Namespace) -> int:
+    validate_width(args.width)
     chain = _load_chain(args.chain)
     node = _offline_node(chain, args.algo, args.width)
     for line in chainio.finality_lines(node):

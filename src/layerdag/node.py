@@ -71,7 +71,9 @@ class Broadcast:
 
 @dataclass(frozen=True)
 class ForkNotice:
-    pair: tuple[EventId, EventId]
+    """The fork pairs a node found in one step, each pair sorted by id."""
+
+    pairs: tuple[tuple[EventId, EventId], ...]
 
 
 @dataclass(frozen=True)
@@ -147,9 +149,9 @@ class NodeState:
         self.victims: set[EventId] = self.chain.fork_victims()
         self.quarantine: dict[EventId, EventBlock] = {}
         self.pending: dict[EventId, EventBlock] = {}  # missing parents
-        # one fork pair per event that joined a fork since the last
+        # (creator, fork pair) per event that joined a fork since the last
         # notice flush in ``step``
-        self._notices: list[tuple[EventId, EventId]] = []
+        self._notices: list[tuple[NodeId, tuple[EventId, EventId]]] = []
         self.outbox: list[Envelope] = []
 
         # transaction tracking: payload -> (event id or None, stage)
@@ -182,7 +184,7 @@ class NodeState:
             report.fork_members.extend(joined)
         if joined:
             x = self.chain.first_rival(e.id)
-            self._notices.append((min(x, e.id), max(x, e.id)))
+            self._notices.append((e.creator, (min(x, e.id), max(x, e.id))))
 
     def create_event(self) -> EventBlock:
         """Emit one event over the freshest non-victim tips."""
@@ -329,9 +331,24 @@ class NodeState:
             self.ingest_events(list(msg.events))
         elif isinstance(msg, ForkNotice):
             # a node announces only the events that join a fork in its own
-            # chain (see ``step``); a notice received is never relayed
+            # chain (see ``step``); a notice received is never relayed.  An
+            # id some request in the outbox already wants is not asked for
+            # again: peers announce the same members, often in one step
+            asked = {
+                w
+                for out in self.outbox
+                if isinstance(out.payload, EventRequest)
+                for w in out.payload.wanted
+            }
             unknown = tuple(
-                x for x in msg.pair if x not in self.chain and x not in self.quarantine
+                dict.fromkeys(
+                    x
+                    for pair in msg.pairs
+                    for x in pair
+                    if x not in self.chain
+                    and x not in self.quarantine
+                    and x not in asked
+                )
             )
             if unknown:
                 # fork members nobody references are never pulled in as
@@ -459,12 +476,14 @@ class NodeState:
             for p in self.peers:
                 self.outbox.append(Envelope(self.id, p, Broadcast((e,))))
         # each event that joined a fork here goes out once, paired with its
-        # earliest-inserted rival; a peer that lacks either asks for it,
-        # and older members reach peers through the pair or as missing
-        # parents
-        for pair in self._notices:
-            for p in self.peers:
-                self.outbox.append(Envelope(self.id, p, ForkNotice(pair)))
+        # earliest-inserted rival, in one notice per peer; the forking
+        # creator made both members and is told nothing.  A peer that lacks
+        # a member asks for it, and older members reach peers through the
+        # pairs or as missing parents
+        for p in self.peers:
+            pairs = tuple(pair for creator, pair in self._notices if creator != p)
+            if pairs:
+                self.outbox.append(Envelope(self.id, p, ForkNotice(pairs)))
         self._notices = []
         # the pipeline is pure bookkeeping over the chain and feeds nothing
         # back into the network, so running it on a cadence only delays

@@ -64,10 +64,15 @@ class SimConfig:
         k = self.k if self.k is not None else min(3, self.n)
         if not 1 <= k <= self.n:
             raise ConfigError(f"k={k} out of range for n={self.n}")
-        if self.width is not None and self.width < 1:
-            raise ConfigError(f"width must be >= 1, got {self.width}")
-        if self.w_p < 0 or self.w_c < 0:
-            raise ConfigError(f"fork budget w_p={self.w_p}, w_c={self.w_c} is negative")
+        validate_width(self.width, self.w_p, self.w_c)
+
+
+def validate_width(width: int | None, w_p: int = 0, w_c: int = 0) -> None:
+    """Reject a CG width below 1 and a negative fork budget."""
+    if width is not None and width < 1:
+        raise ConfigError(f"width must be >= 1, got {width}")
+    if w_p < 0 or w_c < 0:
+        raise ConfigError(f"fork budget w_p={w_p}, w_c={w_c} is negative")
 
 
 class Transport:
@@ -263,7 +268,8 @@ def _summarize(msg) -> str:
     if isinstance(msg, Broadcast):
         return f"broadcast[{','.join(e.id.hex()[:8] for e in msg.events)}]"
     if isinstance(msg, ForkNotice):
-        return f"fork-notice[{msg.pair[0].hex()[:8]},{msg.pair[1].hex()[:8]}]"
+        pairs = ";".join(f"{a.hex()[:8]},{b.hex()[:8]}" for a, b in msg.pairs)
+        return f"fork-notice[{pairs}]"
     if isinstance(msg, EventRequest):
         return f"event-request[{len(msg.wanted)}]"
     if isinstance(msg, EventResponse):

@@ -165,3 +165,16 @@ def test_bad_chain_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("event deadbeef nope\n")
     assert main(["layer", str(bad)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["layer", "--algo", "cg", "--width", "0"],
+        ["finality", "--algo", "cg", "--width", "0"],
+        ["layer", "--algo", "cg", "--wp", "-5", "--wc", "9"],
+    ],
+)
+def test_offline_width_errors_exit_2(chain_file, argv, capsys):
+    assert main([argv[0], chain_file, *argv[1:]]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err

@@ -196,7 +196,7 @@ def test_fork_notice_triggers_event_request():
     ghost_a = make_leaf(7)
     ghost_b = make_event(7, ghost_a, ())
     pair = tuple(sorted((ghost_a.id, ghost_b.id)))
-    node.handle_message(Envelope(1, 0, ForkNotice(pair)))
+    node.handle_message(Envelope(1, 0, ForkNotice((pair,))))
     requests = [
         env for env in node.outbox if isinstance(env.payload, EventRequest)
     ]
@@ -216,11 +216,13 @@ def joined_fork(chain, y):
 def check_notices_name_new_fork_members(monkeypatch):
     """Make every ``step`` assert the notice rule on what it sends.
 
-    For each event that joined a fork in the sender's chain since its
-    previous step, in insertion order, the step sends exactly one notice
-    to every peer, and the pair names that event and a held event of its
-    creator concurrent with it.  Returns counters of notices sent and of
-    notices that arrived while a member they name was not held.
+    Take the events that joined a fork in the sender's chain since its
+    previous step, in insertion order.  The step sends each peer exactly
+    one notice holding one pair per such event the peer did not create,
+    in that order, and none when no event is left.  Each pair names its
+    event and a held event of the same creator concurrent with it.
+    Returns counters of (pair, recipient) deliveries sent and of those
+    that arrived while a member they name was not held.
     """
     step, handle = NodeState.step, NodeState.handle_message
     checked = {}  # node -> count of its chain events already checked
@@ -228,7 +230,9 @@ def check_notices_name_new_fork_members(monkeypatch):
 
     def handle_message(node, env):
         if isinstance(env.payload, ForkNotice):
-            seen["early"] += any(x not in node.chain for x in env.payload.pair)
+            seen["early"] += sum(
+                any(x not in node.chain for x in pair) for pair in env.payload.pairs
+            )
         handle(node, env)
 
     def checked_step(node, step_no, inbox, emit=True):
@@ -238,16 +242,18 @@ def check_notices_name_new_fork_members(monkeypatch):
         joined = [y for y in order[checked.get(node, 0):] if joined_fork(chain, y)]
         checked[node] = len(order)
         sent = [env for env in out if isinstance(env.payload, ForkNotice)]
-        assert len(sent) == len(joined) * len(node.peers)
-        for i, y in enumerate(joined):
-            group = sent[i * len(node.peers):(i + 1) * len(node.peers)]
-            assert [env.dst for env in group] == node.peers
-            (pair,) = {env.payload.pair for env in group}
-            assert y in pair and pair == tuple(sorted(pair))
-            (x,) = [m for m in pair if m != y]
-            assert x in chain and chain.get(x).creator == chain.get(y).creator
-            assert not (chain.self_ancestor(x, y) or chain.self_ancestor(y, x))
-        seen["sent"] += len(sent)
+        by_peer = {env.dst: env.payload.pairs for env in sent}
+        assert len(by_peer) == len(sent) and set(by_peer) <= set(node.peers)
+        for p in node.peers:
+            ys = [y for y in joined if chain.get(y).creator != p]
+            pairs = by_peer.get(p, ())
+            assert len(pairs) == len(ys) and (p in by_peer) == bool(ys)
+            for y, pair in zip(ys, pairs):
+                assert y in pair and pair == tuple(sorted(pair))
+                (x,) = [m for m in pair if m != y]
+                assert x in chain and chain.get(x).creator == chain.get(y).creator
+                assert not (chain.self_ancestor(x, y) or chain.self_ancestor(y, x))
+            seen["sent"] += len(pairs)
         return out
 
     monkeypatch.setattr(NodeState, "handle_message", handle_message)
@@ -259,16 +265,30 @@ def notices(out):
     return [env.payload for env in out if isinstance(env.payload, ForkNotice)]
 
 
+def requests(out):
+    return [
+        (env.dst, env.payload.wanted)
+        for env in out
+        if isinstance(env.payload, EventRequest)
+    ]
+
+
+def forked_leaf(creator=1):
+    """A leaf of ``creator``, two rival children sorted by key, and a child of the later."""
+    b0 = make_leaf(creator)
+    rivals = [make_event(creator, b0, (), payload=p) for p in (b"a", b"b")]
+    first, second = sorted(rivals, key=lambda e: e.sort_key())
+    child = make_event(creator, second, (), payload=b"c")
+    return b0, first, second, child
+
+
 def test_notice_for_members_not_yet_held_is_not_relayed(monkeypatch):
     seen = check_notices_name_new_fork_members(monkeypatch)
     node = fresh_node()
-    b0 = make_leaf(1)
-    rivals = [make_event(1, b0, (), payload=p) for p in (b"a", b"b")]
-    first, second = sorted(rivals, key=lambda e: e.sort_key())
-    child = make_event(1, second, (), payload=b"c")
+    b0, first, second, child = forked_leaf()
     pair = tuple(sorted((first.id, second.id)))
     # the notice comes first: its members are asked for, not announced
-    out = node.step(0, [Envelope(2, 0, ForkNotice(pair))])
+    out = node.step(0, [Envelope(2, 0, ForkNotice((pair,)))])
     assert not notices(out)
     (request,) = [env for env in out if isinstance(env.payload, EventRequest)]
     assert request.dst == 2 and set(request.payload.wanted) == set(pair)
@@ -278,21 +298,85 @@ def test_notice_for_members_not_yet_held_is_not_relayed(monkeypatch):
     assert not notices(out)
     assert second.id in node.quarantine
     # the child pulls the quarantined member in: each new member goes out
-    # once, in insertion order, paired with its earliest-inserted rival
+    # once, in insertion order, paired with its earliest-inserted rival, in
+    # one notice to each peer but the forking creator 1
     out = node.step(2, [Envelope(2, 0, Broadcast((child,)))])
-    pairs = [pair, tuple(sorted((first.id, child.id)))]
-    assert notices(out) == [ForkNotice(p) for p in pairs for _ in range(3)]
-    assert seen["sent"] == 6
+    pairs = (pair, tuple(sorted((first.id, child.id))))
+    assert [env.dst for env in out if isinstance(env.payload, ForkNotice)] == [2, 3]
+    assert notices(out) == [ForkNotice(pairs)] * 2
+    assert seen["sent"] == 4
 
 
 def test_notice_naming_made_up_ids_is_not_relayed():
     node = fresh_node()
     junk = tuple(sorted((b"\x01" * 32, b"\x02" * 32)))
-    out = node.step(0, [Envelope(2, 0, ForkNotice(junk))])
+    out = node.step(0, [Envelope(2, 0, ForkNotice((junk,)))])
     assert not notices(out)
-    assert [env.dst for env in out if isinstance(env.payload, EventRequest)] == [2]
+    assert requests(out) == [(2, junk)]
     out = node.step(1, [])
     assert not notices(out)
+
+
+def test_each_unknown_member_is_asked_for_once_per_outbox():
+    node = fresh_node()
+    _, first, second, child = forked_leaf(7)
+    pair = tuple(sorted((first.id, second.id)))
+    later = tuple(sorted((first.id, child.id)))
+    inbox = [
+        # ``first`` is in both pairs and is asked for once
+        Envelope(2, 0, ForkNotice((pair, later))),
+        Envelope(3, 0, ForkNotice((pair,))),
+        Envelope(1, 0, ForkNotice((later,))),
+    ]
+    out = node.step(0, inbox)
+    assert requests(out) == [(2, tuple(dict.fromkeys(pair + later)))]
+    assert len(requests(out)[0][1]) == 3
+
+
+def test_member_wanted_as_a_missing_parent_is_not_asked_for_again():
+    node = fresh_node()
+    _, first, second, child = forked_leaf(7)
+    pair = tuple(sorted((first.id, second.id)))
+    inbox = [
+        Envelope(2, 0, Broadcast((child,))),
+        Envelope(3, 0, ForkNotice((pair,))),
+        Envelope(1, 0, ForkNotice((pair,))),
+    ]
+    out = node.step(0, inbox)
+    assert requests(out) == [(2, (second.id,)), (3, (first.id,))]
+
+
+def test_notice_outside_step_still_requests_its_unknown_ids():
+    # the drain hands messages to ``handle_message`` after resetting the
+    # outbox, so an id asked for in an earlier step is asked for again
+    node = fresh_node()
+    _, first, second, _ = forked_leaf(7)
+    pair = tuple(sorted((first.id, second.id)))
+    assert requests(node.step(0, [Envelope(2, 0, ForkNotice((pair,)))])) == [(2, pair)]
+    node.outbox = []
+    node.handle_message(Envelope(3, 0, ForkNotice((pair,))))
+    assert requests(node.outbox) == [(3, pair)]
+
+
+def test_no_notice_goes_to_the_forking_creator(monkeypatch):
+    step = NodeState.step
+    named = {}  # dst -> creators of the pairs it was sent
+
+    def recording_step(node, step_no, inbox, emit=True):
+        out = step(node, step_no, inbox, emit)
+        for env in out:
+            if isinstance(env.payload, ForkNotice):
+                named.setdefault(env.dst, set()).update(
+                    node.chain.get(x).creator for pair in env.payload.pairs for x in pair
+                )
+        return out
+
+    monkeypatch.setattr(NodeState, "step", recording_step)
+    cfg = simnet.SimConfig(
+        n=7, steps=60, seed="notice/forker", byzantine={4: "forker", 6: "equivocator"}
+    )
+    simnet.run(cfg)
+    assert named == {i: {4, 6} - {i} for i in range(7)}
 
 
 @pytest.mark.parametrize(

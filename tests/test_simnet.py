@@ -204,6 +204,29 @@ def test_equivocator_victims_are_the_chains_victims():
         assert node.victims == chain.fork_victims() == later
 
 
+def test_lost_fork_notices_keep_orders_identical_and_fork_free():
+    # a lost notice loses every pair its sender found that step; members
+    # still arrive as missing parents or through later peers' notices
+    forked = 0
+    for seed in range(12):
+        cfg = SimConfig(
+            n=7,
+            steps=100,
+            seed=f"lossy-notice/{seed}",
+            delay_model="drop",
+            delay_arg=0.3,
+            byzantine={6: "equivocator"},
+        )
+        result = run(cfg)
+        check_identical_orders(result)
+        check_fork_exclusion(result)
+        assert result.nodes[0].order.ordered_events
+        forked += bool(result.nodes[0].chain.detect_forks())
+    # the equivocator never resends, so a lost early event can keep one
+    # branch out of every honest chain (seed 5)
+    assert forked >= 10
+
+
 def test_silent_node_slows_but_does_not_stop_finality():
     cfg = SimConfig(n=7, steps=80, seed="quiet", byzantine={6: "silent"})
     result = run(cfg)
