@@ -8,8 +8,7 @@ enough to run inside the consensus pipeline on every step.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import AbstractSet, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import (
     DuplicateEvent,
@@ -30,12 +29,10 @@ class Chain:
     read-only; mutation is single-writer.
 
     A creator is forked once it has two concurrent events (neither a
-    self-ancestor of the other).  Only then does the chain keep its
-    events' (lamport, id) keys sorted, so each later insert marks fork
-    victims by bisection instead of pairing the new event with the
-    creator's whole self-chain, and a mask of its events, so ``forks_in``
-    tells whether a past holds one of its forks and ``first_rival``
-    names a fork member's rival with a few mask operations.
+    self-ancestor of the other).  Only then does the chain keep a mask of
+    its events, so ``forks_in`` tells whether a past holds one of its
+    forks and ``first_rival`` names a fork member's rival with a few mask
+    operations.
     """
 
     def __init__(self) -> None:
@@ -52,12 +49,9 @@ class Chain:
         self._self_anc: dict[EventId, int] = {}
         # per-creator self-chain tips: events with no same-creator child
         self._tips: dict[NodeId, set[EventId]] = {}
-        # per forked creator, built at its first fork: the sort keys of
-        # its events, ascending, and a bitmask over their insertion indices
-        self._fork_keys: dict[NodeId, list[tuple[int, EventId]]] = {}
+        # per forked creator, built at its first fork: a bitmask over the
+        # insertion indices of its events
         self._fork_masks: dict[NodeId, int] = {}
-        # later-by-(lamport, id) member of every fork pair seen so far
-        self._fork_victims: set[EventId] = set()
 
     # -- basics -------------------------------------------------------
 
@@ -171,24 +165,11 @@ class Chain:
         if clean:
             return []
 
-        keys = self._fork_keys.get(e.creator)
-        if keys is None:
+        if e.creator not in self._fork_masks:
             # a forked creator keeps more than one tip for good, so every
             # later insert of it comes here too
             older = self.by_creator[e.creator][:-1]
-            keys = sorted(self.events[x].sort_key() for x in older)
-            self._fork_keys[e.creator] = keys
             self._fork_masks[e.creator] = sum(1 << self._index[x] for x in older)
-        key = e.sort_key()
-        i = bisect_left(keys, key)
-        # e's creation_seq self-ancestors sort before it, and every other
-        # event of its creator is concurrent with it (none is above it
-        # yet): e is the later of a pair iff more events sort before it,
-        # and each event sorting after it is the later of its pair with e
-        if i > e.creation_seq:
-            self._fork_victims.add(e.id)
-        keys.insert(i, key)
-        self._fork_victims.update(k[1] for k in keys[i + 1:])
         self._fork_masks[e.creator] |= 1 << idx
         return [e.id]
 
@@ -249,20 +230,17 @@ class Chain:
             raise UnknownEvent(v.hex())
         return self.ids_from_mask(self.ancestor_mask(v))
 
-    def top_event(
-        self, creator: NodeId, avoid: AbstractSet[EventId] = frozenset()
-    ) -> EventId | None:
+    def top_event(self, creator: NodeId) -> EventId | None:
         """Canonical tip of a creator's self-chain.
 
         With forks present there may be several tips; the canonical one is
-        the smallest by (lamport, id) outside ``avoid`` so that every node
-        picks the same branch.
+        the smallest by (lamport, id) so that every node picks the same
+        branch.
         """
         tips = self._tips.get(creator)
         if not tips:
             return None
-        usable = [t for t in tips if t not in avoid] or list(tips)
-        return min(usable, key=lambda t: self.events[t].sort_key())
+        return min(tips, key=lambda t: self.events[t].sort_key())
 
     @property
     def top_events(self) -> dict[NodeId, EventId]:
@@ -289,17 +267,6 @@ class Chain:
                 for j, y in enumerate(ids):
                     pairs.extend(self._pairs_with(y, ids[:j]))
         return sorted(pairs)
-
-    def fork_victims(self) -> set[EventId]:
-        """Later-by-(lamport, id) member of every fork pair.
-
-        This is a pure function of chain content, so any two nodes with
-        the same chain avoid the same events as references.  The
-        returned set is the chain's own, kept current by ``insert`` from
-        each forked creator's sorted keys without listing any pair;
-        callers must not modify it.
-        """
-        return self._fork_victims
 
     def forks_in(self, anc: int) -> set[NodeId]:
         """Creators with a fork inside ``anc``, an ancestor-closed mask.

@@ -108,7 +108,6 @@ class Envelope:
 class IngestReport:
     accepted: list[EventId] = field(default_factory=list)
     buffered: list[EventId] = field(default_factory=list)
-    quarantined: list[EventId] = field(default_factory=list)
     rejected: list[tuple[EventId, str]] = field(default_factory=list)
     fork_members: list[EventId] = field(default_factory=list)  # accepted, joined a fork
 
@@ -145,8 +144,8 @@ class NodeState:
         self.clothos: dict[EventId, ClothoRecord] = self.election.clothos
         self.order = FinalOrder()
         self._emit_frame = 1  # lowest frame whose Clothos are not emitted
-        # fork members new references avoid: the chain's own set
-        self.victims: set[EventId] = self.chain.fork_victims()
+        # always empty: every valid event enters the chain.  Kept only
+        # because the benchmark's observer reads its size
         self.quarantine: dict[EventId, EventBlock] = {}
         self.pending: dict[EventId, EventBlock] = {}  # missing parents
         # (creator, fork pair) per event that joined a fork since the last
@@ -187,10 +186,9 @@ class NodeState:
             self._notices.append((e.creator, (min(x, e.id), max(x, e.id))))
 
     def create_event(self) -> EventBlock:
-        """Emit one event over the freshest non-victim tips."""
+        """Emit one event over the freshest canonical tips."""
         payload = self.tx_queue.pop(0) if self.tx_queue else b""
-        avoid = self.victims
-        self_parent = self.chain.top_event(self.id, avoid)
+        self_parent = self.chain.top_event(self.id)
         if self_parent is None:
             e = make_leaf(self.id, payload)
         else:
@@ -199,7 +197,7 @@ class NodeState:
             tops = [
                 (self.chain.get(t).sort_key(), t)
                 for p in peers
-                if (t := self.chain.top_event(p, avoid)) is not None
+                if (t := self.chain.top_event(p)) is not None
             ]
             # freshest peers first, capped at k-1 peer refs
             tops.sort(key=lambda kv: (kv[0][0], kv[0][1]), reverse=True)
@@ -227,11 +225,11 @@ class NodeState:
     # -- ingest ----------------------------------------------------------
 
     def ingest_events(self, events: list[EventBlock]) -> IngestReport:
-        """Insert foreign events, buffering out-of-order arrivals.
+        """Insert foreign events, buffering those whose refs are not held.
 
-        Incoming members of a known fork pair go to quarantine; a
-        quarantined event is reinstated when something referencing it
-        arrives, since the chain then needs it for reachability.  An
+        Every valid event enters the chain, fork members included: the
+        final order follows one self-chain per creator, and the election
+        drops the votes of a creator whose fork a root's past shows.  An
         event whose id is not the hash of its content is rejected, so no
         two replicas hold different content under one id.
         """
@@ -250,57 +248,19 @@ class NodeState:
                 report.rejected.append((e.id, "id does not match content"))
                 continue
             self.pending[e.id] = e
-        progress = True
-        while progress:
-            progress = False
-            for eid in list(self.pending):
-                e = self.pending[eid]
-                if eid in self.chain:
-                    del self.pending[eid]
-                    continue
-                missing = [r for r in e.refs if r not in self.chain]
-                needed_quarantined = [r for r in missing if r in self.quarantine]
-                for r in needed_quarantined:
-                    held = self.quarantine.pop(r)
-                    try:
-                        self._insert(held, report)
-                    except Exception as exc:  # malformed held event
-                        report.rejected.append((r, str(exc)))
-                missing = [r for r in e.refs if r not in self.chain]
-                if missing:
-                    continue
-                if self._is_known_fork_member(e):
-                    del self.pending[eid]
-                    self.quarantine[eid] = e
-                    report.quarantined.append(eid)
-                    progress = True
-                    continue
-                try:
-                    self._insert(e, report)
-                except Exception as exc:
-                    report.rejected.append((eid, str(exc)))
-                del self.pending[eid]
-                progress = True
+        # a ref's Lamport time is below its referrer's, so one pass in
+        # Lamport order inserts each ref before anything that needs it; the
+        # sort is stable, so ties keep their arrival order
+        for e in sorted(self.pending.values(), key=lambda x: x.lamport_ts):
+            if any(r not in self.chain for r in e.refs):
+                continue
+            del self.pending[e.id]
+            try:
+                self._insert(e, report)
+            except Exception as exc:
+                report.rejected.append((e.id, str(exc)))
         report.buffered = list(self.pending)
         return report
-
-    def _is_known_fork_member(self, e: EventBlock) -> bool:
-        """True when inserting ``e`` would complete a fork already seen.
-
-        Only the later-by-(lamport, id) member is held back; the earlier
-        member stays insertable so honest descendants keep flowing.
-        """
-        key = e.sort_key()
-        if e.self_ref is None:
-            # the chain only holds leaves at seq 0
-            rivals = self.chain.by_seq.get((e.creator, 0), ())
-            return bool(rivals) and min(
-                self.chain.get(x).sort_key() for x in rivals
-            ) <= key
-        rivals = self.chain.by_seq.get((e.creator, e.creation_seq), ())
-        return any(
-            x != e.id and self.chain.get(x).sort_key() < key for x in rivals
-        )
 
     # -- message handling ---------------------------------------------------
 
@@ -345,9 +305,7 @@ class NodeState:
                     x
                     for pair in msg.pairs
                     for x in pair
-                    if x not in self.chain
-                    and x not in self.quarantine
-                    and x not in asked
+                    if x not in self.chain and x not in asked
                 )
             )
             if unknown:
@@ -457,7 +415,7 @@ class NodeState:
         phi = self.lstate.layering.phi
         tops = []
         for c in range(self.n):
-            t = self.chain.top_event(c, self.victims)
+            t = self.chain.top_event(c)
             if t is None:
                 raise IncompleteCoverage(f"no events from creator {c}")
             tops.append(t)

@@ -388,19 +388,7 @@ def run(
             for b in ids:
                 if a == b:
                     continue
-                diff = honest[b].chain.diff_events(honest[a].chain.known_map())
-                if diff:
-                    report = honest[a].ingest_events(diff)
-                    if report.accepted:
-                        changed = True
-                # count-based diffs miss divergent fork branches; exchange
-                # the id-level difference so chains truly converge
-                missing = [
-                    eid
-                    for eid in honest[b].chain.events
-                    if eid not in honest[a].chain
-                    and eid not in honest[a].quarantine
-                ]
+                missing = honest[b].chain.events.keys() - honest[a].chain.events.keys()
                 if missing:
                     closure = honest[b].chain.closure_of(missing)
                     report = honest[a].ingest_events(closure)

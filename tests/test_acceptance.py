@@ -215,8 +215,8 @@ def test_criterion_5_fork_exclusion():
                 f"run {i} ({model}): node {nid} finalized {final_honest} "
                 f"of {len(honest)} honest events"
             )
-        # ground-truth pairs come from the cheaters' own chains, since
-        # honest nodes quarantine rivals before they can land in the DAG
+        # ground-truth pairs come from the cheaters' own chains, since a
+        # member that never reached an honest node is not in its chain
         pairs = set()
         for byz in result.byzantine.values():
             pairs.update(byz.chain.detect_forks())

@@ -203,8 +203,6 @@ def test_insert_reports_each_fork_member_once(leaves, branches):
     # an insert reports its event once it pairs with an event held before
     members = {max(p, key=chain.index_of) for p in pairs}
     assert joined == sorted(members, key=chain.index_of)
-    later = {max(p, key=lambda x: chain.get(x).sort_key()) for p in pairs}
-    assert chain.fork_victims() == later
 
 
 def forked_blocks(rng, n, events, branches):
@@ -265,23 +263,31 @@ def fork_streams():
         yield causal_shuffle(chain, rng)
 
 
-def test_fork_victims_match_bruteforce_after_every_insert():
-    members = demoted = 0
+def test_fork_members_and_top_event_match_bruteforce_after_every_insert():
+    members = 0
+    forked_tops = {True: 0, False: 0}
     for blocks in fork_streams():
         chain = Chain()
         for e in blocks:
-            held = set(chain.fork_victims())
             joined = chain.insert(e)
             pairs = bruteforce_fork_pairs(chain)
             assert joined == ([e.id] if any(e.id in p for p in pairs) else [])
-            later = {max(p, key=lambda x: chain.get(x).sort_key()) for p in pairs}
-            assert chain.fork_victims() == later
             members += len(joined)
-            # e sorted before an event held earlier and made it a victim
-            demoted += bool(later - held - {e.id})
+            # tips are pairwise concurrent, so every tip but the smallest by
+            # (lamport, id) is the later member of its pair with it: the
+            # canonical tip is a later member only when every tip is one
+            later = {max(p, key=lambda x: chain.get(x).sort_key()) for p in pairs}
+            mine = chain.by_creator[e.creator]
+            parents = {chain.get(x).self_ref for x in mine}
+            tips = [x for x in mine if x not in parents]
+            top_is_later = chain.top_event(e.creator) in later
+            assert top_is_later == all(t in later for t in tips)
+            if len(tips) > 1:
+                forked_tops[top_is_later] += 1
         assert set(chain.detect_forks()) == pairs
     assert members >= 250
-    assert demoted >= 5
+    # with a fork present, both sides of the equivalence occur
+    assert forked_tops[True] >= 100 and forked_tops[False] >= 10
 
 
 def test_forks_in_a_past_match_bruteforce():
@@ -347,15 +353,6 @@ def test_first_rival_matches_bruteforce(kind):
     for y in joined:
         assert chain.first_rival(y) == earliest_rival(chain, y)
     assert len(joined) >= 20
-
-
-def test_fork_victims_pick_later_sort_key():
-    chain = Chain()
-    leaf = make_leaf(0)
-    chain.insert(leaf)
-    fa, fb = two_branch_fork(chain, 0, leaf)
-    later = max(fa, fb, key=lambda e: e.sort_key())
-    assert chain.fork_victims() == {later.id}
 
 
 def test_fork_detected_on_deep_branches():

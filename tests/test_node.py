@@ -8,7 +8,7 @@ import pytest
 from chaingen import causal_shuffle, random_chain
 from layerdag import simnet
 from layerdag.errors import IncompleteCoverage, UnknownTransaction
-from layerdag.events import make_event, make_leaf
+from layerdag.events import make_event, make_leaf, new_event
 from layerdag.finality import (
     Election,
     FinalOrder,
@@ -67,18 +67,19 @@ def test_create_event_references_freshest_peers():
     assert stale.id not in e.other_refs
 
 
-def test_create_event_skips_fork_victims():
+def test_create_event_cites_the_smallest_tip():
     node = fresh_node(0, 4)
     node.create_event()
     b0 = make_leaf(1)
     node.ingest_events([b0])
     rival_a = make_event(1, b0, (), payload=b"a")
     rival_b = make_event(1, b0, (), payload=b"b")
-    node.ingest_events([rival_a, rival_b])
-    assert node.victims  # fork detected
+    report = node.ingest_events([rival_a, rival_b])
+    assert report.fork_members  # fork detected
+    first, second = sorted([rival_a, rival_b], key=lambda e: e.sort_key())
     e = node.create_event()
-    for v in node.victims:
-        assert v not in e.other_refs
+    assert first.id in e.other_refs
+    assert second.id not in e.other_refs
 
 
 def test_transaction_lifecycle():
@@ -117,36 +118,30 @@ def test_ingest_reports_fork_members():
     # the rival accepted second is the one that joined a fork
     assert report.fork_members == report.accepted[-1:]
     assert report.fork_members[0] in (rival_a.id, rival_b.id)
-    later = max(rival_a, rival_b, key=lambda e: e.sort_key())
-    assert node.victims == {later.id}
 
 
-def test_later_fork_member_is_quarantined_then_reinstated():
+def test_later_fork_member_is_inserted_at_once():
     node = fresh_node()
-    b0 = make_leaf(1)
-    rival_a = make_event(1, b0, (), payload=b"a")
-    rival_b = make_event(1, b0, (), payload=b"b")
-    first, second = sorted([rival_a, rival_b], key=lambda e: e.sort_key())
+    b0, first, second, child = forked_leaf()
     node.ingest_events([b0, first])
     report = node.ingest_events([second])
-    assert report.quarantined == [second.id]
-    assert second.id not in node.chain
-    # a child of the quarantined event forces it back in
-    child = make_event(1, second, ())
-    report = node.ingest_events([child])
+    assert report.accepted == report.fork_members == [second.id]
     assert second.id in node.chain
+    # its self-descendants join the fork as well
+    report = node.ingest_events([child])
+    assert report.accepted == report.fork_members == [child.id]
     assert child.id in node.chain
 
 
-def test_later_leaf_rival_is_quarantined():
+def test_later_leaf_rival_is_inserted_at_once():
     node = fresh_node()
     leaf_a = make_leaf(1, payload=b"a")
     leaf_b = make_leaf(1, payload=b"b")
     first, second = sorted([leaf_a, leaf_b], key=lambda e: e.sort_key())
     node.ingest_events([first])
     report = node.ingest_events([second])
-    assert report.quarantined == [second.id]
-    assert second.id not in node.chain
+    assert report.accepted == report.fork_members == [second.id]
+    assert second.id in node.chain
     assert first.id in node.chain
 
 
@@ -158,9 +153,7 @@ def test_earlier_leaf_rival_is_inserted():
     node.ingest_events([second])
     report = node.ingest_events([first])
     assert report.accepted == [first.id]
-    assert not report.quarantined
     assert report.fork_members == [first.id]
-    assert node.victims == {second.id}
 
 
 def test_ingest_rejects_an_id_that_is_not_the_hash_of_the_content():
@@ -177,6 +170,22 @@ def test_ingest_rejects_an_id_that_is_not_the_hash_of_the_content():
     report = node.ingest_events([b1])
     assert report.accepted == [b1.id]
     assert node.chain.get(b1.id).payload == b"genuine"
+
+
+def test_event_claiming_a_lamport_time_not_above_its_parent_never_enters():
+    node = fresh_node()
+    b0 = make_leaf(1)
+    b1 = make_event(1, b0, ())
+    bad = new_event(1, b1.id, (), 0, b"bad", 2)
+    # ``bad`` sorts before its parent, so the one pass leaves it pending
+    report = node.ingest_events([b0, b1, bad])
+    assert report.accepted == [b0.id, b1.id]
+    assert report.buffered == [bad.id]
+    # once its parent is held, the chain rejects it
+    report = node.ingest_events([])
+    assert [eid for eid, _ in report.rejected] == [bad.id]
+    assert not report.accepted
+    assert bad.id not in node.chain and not node.pending
 
 
 def test_duplicate_delivery_is_harmless():
@@ -293,14 +302,14 @@ def test_notice_for_members_not_yet_held_is_not_relayed(monkeypatch):
     (request,) = [env for env in out if isinstance(env.payload, EventRequest)]
     assert request.dst == 2 and set(request.payload.wanted) == set(pair)
     assert seen["early"] == 1
-    # one member held and the other quarantined is no fork here yet
-    out = node.step(1, [Envelope(2, 0, Broadcast((b0, first, second)))])
-    assert not notices(out)
-    assert second.id in node.quarantine
-    # the child pulls the quarantined member in: each new member goes out
-    # once, in insertion order, paired with its earliest-inserted rival, in
-    # one notice to each peer but the forking creator 1
-    out = node.step(2, [Envelope(2, 0, Broadcast((child,)))])
+    # the members and a child of the later one arrive: each new member goes
+    # out once, in insertion order, paired with its earliest-inserted rival,
+    # in one notice to each peer but the forking creator 1
+    inbox = [
+        Envelope(2, 0, Broadcast((b0, first, second))),
+        Envelope(3, 0, Broadcast((child,))),
+    ]
+    out = node.step(1, inbox)
     pairs = (pair, tuple(sorted((first.id, child.id))))
     assert [env.dst for env in out if isinstance(env.payload, ForkNotice)] == [2, 3]
     assert notices(out) == [ForkNotice(pairs)] * 2
