@@ -1,9 +1,13 @@
 """Per-node append-only event DAG with reachability indices.
 
 The chain stores every accepted event block, keyed by id, together with
-incrementally maintained ancestor bitmasks.  Those bitmasks make
-happened-before queries, subgraph extraction and fork detection cheap
-enough to run inside the consensus pipeline on every step.
+an incrementally maintained ancestor index.  An event's ancestors, as a
+set of insertion indices, are stored prefix-compressed: the length of
+their all-ones prefix plus the few bits above it.  An event's past
+usually holds everything inserted up to a recent point, so the stored
+part stays small however long the history grows, while happened-before
+queries, subgraph extraction and fork detection stay cheap enough to
+run inside the consensus pipeline on every step.
 """
 
 from __future__ import annotations
@@ -29,23 +33,26 @@ class Chain:
     read-only; mutation is single-writer.
 
     A creator is forked once it has two concurrent events (neither a
-    self-ancestor of the other).  Only then does the chain keep a mask of
-    its events, so ``forks_in`` tells whether a past holds one of its
-    forks and ``first_rival`` names a fork member's rival with a few mask
+    self-ancestor of the other).  Until then its events form one
+    self-chain, ordered by creation_seq.  From its first fork on, the
+    chain keeps a mask of its events and a self-ancestor mask per event,
+    so ``forks_in`` tells whether a past holds one of its forks and
+    ``first_rival`` names a fork member's rival with a few mask
     operations.
     """
 
     def __init__(self) -> None:
         self.events: dict[EventId, EventBlock] = {}
         self.by_creator: dict[NodeId, list[EventId]] = {}
-        # (creator, creation_seq) -> ids; more than one id means a fork
-        self.by_seq: dict[tuple[NodeId, int], list[EventId]] = {}
         # index of each event in insertion order, used for bitmasks
         self._index: dict[EventId, int] = {}
         self._order: list[EventId] = []
-        # ancestor masks exclude the event itself; self-ancestor masks
-        # follow only self-ref edges
-        self._anc: dict[EventId, int] = {}
+        # by insertion index, the event's ancestors (itself excluded) as
+        # a mask (1 << ones) - 1 | rest << ones, with bit 0 of rest clear
+        self._ones: list[int] = []
+        self._rest: list[int] = []
+        # self-ancestor masks, following only self-ref edges, of the
+        # events of forked creators
         self._self_anc: dict[EventId, int] = {}
         # per-creator self-chain tips: events with no same-creator child
         self._tips: dict[NodeId, set[EventId]] = {}
@@ -136,20 +143,26 @@ class Chain:
         """
         self._validate(e)
         idx = len(self._order)
-        anc = 0
-        for ref in e.refs:
-            anc |= self._anc[ref] | (1 << self._index[ref])
-        self_anc = 0
-        if e.self_ref is not None:
-            self_anc = self._self_anc[e.self_ref] | (1 << self._index[e.self_ref])
+        # the union of the refs' ancestor sets and the refs themselves,
+        # kept above the longest all-ones prefix among the refs seen so far
+        ones = rest = 0
+        for r in e.refs:
+            i = self._index[r]
+            o = self._ones[i]
+            if o > ones:
+                rest >>= o - ones
+                ones = o
+            rest |= self._rest[i] >> (ones - o)
+            if i >= ones:
+                rest |= 1 << (i - ones)
+        run = (rest ^ (rest + 1)).bit_length() - 1  # trailing ones of rest
 
         self.events[e.id] = e
         self._index[e.id] = idx
         self._order.append(e.id)
-        self._anc[e.id] = anc
-        self._self_anc[e.id] = self_anc
+        self._ones.append(ones + run)
+        self._rest.append(rest >> run)
         self.by_creator.setdefault(e.creator, []).append(e.id)
-        self.by_seq.setdefault((e.creator, e.creation_seq), []).append(e.id)
 
         tips = self._tips.setdefault(e.creator, set())
         # extending the creator's sole tip cannot create a fork; anything
@@ -165,12 +178,20 @@ class Chain:
         if clean:
             return []
 
-        if e.creator not in self._fork_masks:
-            # a forked creator keeps more than one tip for good, so every
-            # later insert of it comes here too
-            older = self.by_creator[e.creator][:-1]
-            self._fork_masks[e.creator] = sum(1 << self._index[x] for x in older)
-        self._fork_masks[e.creator] |= 1 << idx
+        # a forked creator keeps more than one tip for good, so every later
+        # insert of it comes here too; its first fork indexes the events it
+        # already holds, in insertion order, so self parents come first
+        forked = e.creator in self._fork_masks
+        mask = self._fork_masks.get(e.creator, 0)
+        for x in [e.id] if forked else self.by_creator[e.creator]:
+            parent = self.events[x].self_ref
+            self._self_anc[x] = (
+                0
+                if parent is None
+                else self._self_anc[parent] | 1 << self._index[parent]
+            )
+            mask |= 1 << self._index[x]
+        self._fork_masks[e.creator] = mask
         return [e.id]
 
     def _self_related(self, x: EventId, y: EventId) -> bool:
@@ -195,7 +216,9 @@ class Chain:
             raise UnknownEvent(x.hex())
         if y not in self.events:
             raise UnknownEvent(y.hex())
-        return bool(self._anc[y] >> self._index[x] & 1)
+        i, j = self._index[x], self._index[y]
+        ones = self._ones[j]
+        return i < ones or bool(self._rest[j] >> (i - ones) & 1)
 
     def concurrent(self, x: EventId, y: EventId) -> bool:
         return (
@@ -208,11 +231,24 @@ class Chain:
         """True iff x is a self-ancestor of y."""
         if x not in self.events or y not in self.events:
             raise UnknownEvent("unknown event in self_ancestor query")
-        return bool(self._self_anc[y] >> self._index[x] & 1)
+        ex, ey = self.events[x], self.events[y]
+        if ex.creator != ey.creator:
+            return False
+        if ey.creator in self._fork_masks:
+            return bool(self._self_anc[y] >> self._index[x] & 1)
+        # an unforked creator's events form one self-chain
+        return ex.creation_seq < ey.creation_seq
 
     def ancestor_mask(self, v: EventId) -> int:
-        """Bitmask over insertion indices of v's ancestors plus v itself."""
-        return self._anc[v] | (1 << self._index[v])
+        """Bitmask over insertion indices of v's ancestors plus v itself.
+
+        Built on each call from the stored prefix-compressed form.
+        """
+        i = self._index[v]
+        ones = self._ones[i]
+        above = self._rest[i] | 1 << (i - ones)  # bits from index ``ones`` up
+        # (above << ones) + (1 << ones) - 1: the prefix fills the shift's zeros
+        return ((above + 1) << ones) - 1
 
     def ids_from_mask(self, mask: int) -> set[EventId]:
         out = set()
@@ -305,18 +341,21 @@ class Chain:
         """Local events the remote side is missing, in causal order.
 
         An event is included when its creation_seq is at or past the
-        remote's per-creator count.  Every event's self parent is in the
-        chain, so each creator's seqs run from 0 without a gap and the
-        walk reads seqs from that count up until one is missing.
-        (lamport, id) order is a valid topological order because Lamport
-        time strictly increases along references.
+        remote's per-creator count.  An event of seq s was inserted after
+        its s self-ancestors, so it sits at position s or later in its
+        creator's ``by_creator`` list, and the walk starts at that count;
+        for an unforked creator, whose seqs follow insertion order, it
+        takes every event from there.  (lamport, id) order is a valid
+        topological order because Lamport time strictly increases along
+        references.
         """
         out = []
-        for creator in self.by_creator:
-            seq = max(remote.get(creator, 0), 0)
-            while (ids := self.by_seq.get((creator, seq))) is not None:
-                out.extend(self.events[eid] for eid in ids)
-                seq += 1
+        for creator, ids in self.by_creator.items():
+            count = max(remote.get(creator, 0), 0)
+            for eid in ids[count:]:
+                e = self.events[eid]
+                if e.creation_seq >= count:
+                    out.append(e)
         out.sort(key=EventBlock.sort_key)
         return out
 

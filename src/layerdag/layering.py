@@ -106,10 +106,7 @@ def transitive_reduce(chain: Chain) -> dict[EventId, tuple[EventId, ...]]:
             continue
         keep = []
         for r in refs:
-            ridx = chain.index_of(r)
-            if not any(
-                chain.ancestor_mask(o) >> ridx & 1 for o in refs if o != r
-            ):
+            if not any(chain.happened_before(r, o) for o in refs if o != r):
                 keep.append(r)
         reduced[e.id] = tuple(keep)
     return reduced
@@ -120,9 +117,8 @@ def _check_reduced(
 ) -> None:
     for child, refs in parents.items():
         for r in refs:
-            ridx = chain.index_of(r)
             for o in refs:
-                if o != r and chain.ancestor_mask(o) >> ridx & 1:
+                if o != r and chain.happened_before(r, o):
                     raise NonReducedInput(
                         f"edge {chain.get(child).short()} -> "
                         f"{chain.get(r).short()} is transitive"

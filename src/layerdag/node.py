@@ -250,9 +250,15 @@ class NodeState:
             self.pending[e.id] = e
         # a ref's Lamport time is below its referrer's, so one pass in
         # Lamport order inserts each ref before anything that needs it; the
-        # sort is stable, so ties keep their arrival order
+        # sort is stable, so ties keep their arrival order.  An event that
+        # claims a time not above a held or pending ref's breaks that rule:
+        # the pass rejects it there, or the chain does once its refs are held
         for e in sorted(self.pending.values(), key=lambda x: x.lamport_ts):
             if any(r not in self.chain for r in e.refs):
+                held = (self.chain.events.get(r) or self.pending.get(r) for r in e.refs)
+                if any(h and h.lamport_ts >= e.lamport_ts for h in held):
+                    del self.pending[e.id]
+                    report.rejected.append((e.id, "lamport time not above a parent's"))
                 continue
             del self.pending[e.id]
             try:

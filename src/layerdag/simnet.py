@@ -326,20 +326,17 @@ def run(
                 for t in txs:
                     honest[nid].submit_transaction(t)
 
-    inflight_at = 0
+    # one string per trace kind, shared by every entry of that kind
+    kinds: dict[str, str] = {}
 
     def dispatch(step_no: int, outbox: list[Envelope]) -> None:
         for env in outbox:
-            at = transport.send(env, step_no)
-            kind = type(env.payload).__name__
-            if at is None:
-                trace.append(
-                    TraceEntry(step_no, f"drop:{kind}", env.src, env.dst, _summarize(env.payload))
-                )
-            else:
-                trace.append(
-                    TraceEntry(step_no, f"send:{kind}", env.src, env.dst, _summarize(env.payload))
-                )
+            action = "drop" if transport.send(env, step_no) is None else "send"
+            kind = f"{action}:{type(env.payload).__name__}"
+            kind = kinds.setdefault(kind, kind)
+            trace.append(
+                TraceEntry(step_no, kind, env.src, env.dst, _summarize(env.payload))
+            )
 
     for step_no in range(1, cfg.steps + 1):
         arrivals = transport.take(step_no)

@@ -355,6 +355,114 @@ def test_first_rival_matches_bruteforce(kind):
     assert len(joined) >= 20
 
 
+def orphan_blocks(rng):
+    """A forked stream with an early leaf no event ever cites.
+
+    Every later past misses that leaf, so the all-ones prefix of every
+    later ancestor set stops below it.
+    """
+    blocks = forked_blocks(rng, 3, 60, 3)
+    return blocks[:5] + [make_leaf(9, payload=b"orphan")] + blocks[5:]
+
+
+def late_fork_blocks(rng):
+    """Creator 1 forks off an old event after 20 or more clean events.
+
+    Both of its branches then grow while the others cite either one.
+    """
+    blocks = list(random_chain(rng, 3, 90).in_insertion_order())
+    old = [e for e in blocks if e.creator == 1]
+    assert len(old) >= 20
+    tips = {c: [e for e in blocks if e.creator == c][-1] for c in (0, 2)}
+    branches = [old[-1], old[4]]
+    for i in range(10):
+        b = i % 2
+        branches[b] = make_event(1, branches[b], (tips[0],), payload=b"b:%d" % i)
+        blocks.append(branches[b])
+        c = rng.choice((0, 2))
+        tips[c] = make_event(c, tips[c], (rng.choice(branches),), payload=b"c:%d" % i)
+        blocks.append(tips[c])
+    return blocks
+
+
+def index_streams():
+    for seed in range(4):
+        rng = random.Random(f"index/{seed}")
+        yield forked_blocks(rng, rng.randint(2, 4), 50, rng.randint(2, 4))
+    rng = random.Random("index/shuffled")
+    chain = Chain()
+    for e in forked_blocks(rng, 3, 50, 3):
+        chain.insert(e)
+    yield causal_shuffle(chain, rng)
+    yield orphan_blocks(random.Random("index/orphan"))
+    yield late_fork_blocks(random.Random("index/late"))
+
+
+def test_reachability_index_matches_oracles_after_every_insert():
+    # oracles built from refs alone: every ancestor, and every self-ancestor
+    unforked_pairs = forked_pairs = 0
+    for blocks in index_streams():
+        chain = Chain()
+        below, self_below, joined = {}, {}, []
+        for e in blocks:
+            if chain.insert(e):
+                joined.append(e.id)
+            below[e.id] = set().union(*(below[r] | {r} for r in e.refs))
+            parent = e.self_ref
+            self_below[e.id] = set() if parent is None else self_below[parent] | {parent}
+            ids = list(chain.events)
+            for y in ids:
+                mask = chain.ancestor_mask(y)
+                assert chain.ids_from_mask(mask) == below[y] | {y}
+                assert chain.subgraph_under(y) == below[y] | {y}
+                for x in ids:
+                    assert chain.happened_before(x, y) == (x in below[y])
+                    assert chain.self_ancestor(x, y) == (x in self_below[y])
+                # a creator is forked in y's past when one of its events
+                # there is neither its newest there nor a self-ancestor of it
+                mine = {}
+                for x in below[y] | {y}:
+                    mine.setdefault(chain.get(x).creator, []).append(x)
+                want = set()
+                for c, xs in mine.items():
+                    top = max(xs, key=lambda x: chain.get(x).creation_seq)
+                    if set(xs) - self_below[top] - {top}:
+                        want.add(c)
+                assert chain.forks_in(mask) == want
+            for y in joined:
+                ey = chain.get(y)
+                rival = next(
+                    x
+                    for x in ids
+                    if chain.get(x).creator == ey.creator
+                    and x != y
+                    and x not in self_below[y]
+                    and y not in self_below[x]
+                )
+                assert chain.first_rival(y) == rival
+            # count the self_ancestor checks above against e's creator's
+            # events, split by whether that creator has forked yet
+            parents = {chain.get(x).self_ref for x in ids}
+            mine = [x for x in ids if chain.get(x).creator == e.creator]
+            if sum(x not in parents for x in mine) > 1:
+                forked_pairs += len(mine) ** 2
+            else:
+                unforked_pairs += len(mine) ** 2
+    assert unforked_pairs >= 50_000 and forked_pairs >= 20_000
+
+
+@pytest.mark.parametrize("steps", [150, 600])
+def test_stored_ancestor_index_stays_narrow_on_honest_runs(steps):
+    # an honest past holds everything inserted up to a recent point, so
+    # the bits stored above each all-ones prefix do not grow with history
+    cfg = simnet.SimConfig(
+        n=5, steps=steps, seed="narrow", delay_model="rand", delay_arg=1
+    )
+    for node in simnet.run(cfg).nodes.values():
+        assert len(node.chain) >= steps
+        assert max(rest.bit_length() for rest in node.chain._rest) < 64
+
+
 def test_fork_detected_on_deep_branches():
     # extending an already forked chain keeps producing pairs
     chain = Chain()
@@ -407,7 +515,7 @@ def test_diff_events_matches_the_filter_over_every_event():
     chain.insert(fa2)
     chain.insert(make_event(0, fa2, (), payload=b"a3"))
     chain.insert(make_event(1, leaves[1], (fb,), payload=b"b1"))
-    assert len(chain.by_seq[(0, 1)]) == 2
+    assert sum(chain.get(x).creation_seq == 1 for x in chain.by_creator[0]) == 2
     remotes = [
         {},  # a remote that has seen no creator
         {0: 1, 1: 1},  # the forked seq and creator 2 unseen

@@ -177,14 +177,25 @@ def test_event_claiming_a_lamport_time_not_above_its_parent_never_enters():
     b0 = make_leaf(1)
     b1 = make_event(1, b0, ())
     bad = new_event(1, b1.id, (), 0, b"bad", 2)
-    # ``bad`` sorts before its parent, so the one pass leaves it pending
+    # ``bad`` sorts before its parent, and the pass rejects it on reaching it
     report = node.ingest_events([b0, b1, bad])
     assert report.accepted == [b0.id, b1.id]
-    assert report.buffered == [bad.id]
-    # once its parent is held, the chain rejects it
-    report = node.ingest_events([])
     assert [eid for eid, _ in report.rejected] == [bad.id]
-    assert not report.accepted
+    assert not report.buffered
+    assert bad.id not in node.chain and not node.pending
+
+
+def test_event_claiming_a_lamport_time_not_above_its_parent_is_rejected_when_the_parent_arrives():
+    node = fresh_node()
+    b0 = make_leaf(1)
+    b1 = make_event(1, b0, ())
+    bad = new_event(1, b1.id, (), 1, b"bad", 2)
+    # the bad child comes one call before its parent, whose time it ties
+    report = node.ingest_events([bad])
+    assert report.buffered == [bad.id]
+    report = node.ingest_events([b0, b1])
+    assert report.accepted == [b0.id, b1.id]
+    assert [eid for eid, _ in report.rejected] == [bad.id]
     assert bad.id not in node.chain and not node.pending
 
 
