@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Subcommands operate either on chain files (layer, roots, finality,
-export-dot) or on full simulations (run, verify, replay).  The seed can
-be overridden through the ONLAY_SEED environment variable, which takes
-priority over --seed.
+export-dot) or on full simulations (run, verify, replay).  Simulations
+and the offline roots and finality commands layer by longest path, as
+the consensus does; only ``layer --algo cg --width N`` offers the
+width-bounded Coffman-Graham layering.  The seed can be overridden
+through the ONLAY_SEED environment variable, which takes priority over
+--seed.
 """
 
 from __future__ import annotations
@@ -75,8 +78,6 @@ def _sim_config(args: argparse.Namespace) -> SimConfig:
         k=args.k,
         steps=args.steps,
         seed=args.seed,
-        layering_algo=args.algo,
-        width=args.width,
         byzantine=_parse_byzantine(args.byzantine),
         w_p=args.wp,
         w_c=args.wc,
@@ -92,7 +93,7 @@ def _load_chain(path: str) -> Chain:
         return chainio.read_chain(fh)
 
 
-def _offline_node(chain: Chain, algo: str = "lpl", width: int | None = None) -> NodeState:
+def _offline_node(chain: Chain) -> NodeState:
     """Replay a chain file through a single consensus pipeline run.
 
     The run hands every event to one engine update, as
@@ -102,7 +103,7 @@ def _offline_node(chain: Chain, algo: str = "lpl", width: int | None = None) -> 
     if not creators:
         raise ConfigError("chain file is empty")
     n = max(creators) + 1
-    node = NodeState(n, n, k=min(3, n), layering_algo=algo, width=width)
+    node = NodeState(n, n, k=min(3, n))
     node.ingest_events(list(chain.in_insertion_order()))
     node.run_pipeline()
     return node
@@ -127,8 +128,6 @@ def _write_run_artifacts(result: RunResult, out: Path) -> None:
                 ("k", cfg.k if cfg.k is not None else min(3, cfg.n)),
                 ("steps", cfg.steps),
                 ("seed", cfg.seed),
-                ("algo", cfg.layering_algo),
-                ("width", cfg.width if cfg.width is not None else ""),
                 ("byzantine", byz),
                 ("wp", cfg.w_p),
                 ("wc", cfg.w_c),
@@ -214,9 +213,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 
 def cmd_finality(args: argparse.Namespace) -> int:
-    validate_width(args.width)
-    chain = _load_chain(args.chain)
-    node = _offline_node(chain, args.algo, args.width)
+    node = _offline_node(_load_chain(args.chain))
     for line in chainio.finality_lines(node):
         print(line)
     return EXIT_OK
@@ -282,8 +279,6 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--seed", default="0")
-    p.add_argument("--algo", choices=("lpl", "cg"), default="lpl")
-    p.add_argument("--width", type=int, default=None)
     p.add_argument("--byzantine", default="")
     p.add_argument("--wp", type=int, default=0)
     p.add_argument("--wc", type=int, default=0)
@@ -315,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("finality", help="print the final order of a chain file")
     p.add_argument("chain")
-    p.add_argument("--algo", choices=("lpl", "cg"), default="lpl")
-    p.add_argument("--width", type=int, default=None)
     p.set_defaults(func=cmd_finality)
 
     p = sub.add_parser("export-dot", help="emit Graphviz for a chain file")

@@ -2,9 +2,13 @@
 
 Layers are numbered from 1.  Edges point child -> parent, so a valid
 layering satisfies phi(child) >= phi(parent) + 1 on every reference edge;
-leaves sit on layer 1.  The consensus pipeline uses the online
-longest-path variant; the Coffman-Graham variants exist for the
-width-bound equivalence checks and experiments.
+leaves sit on layer 1.  The consensus pipeline uses only the online
+longest-path variant: a vertex's longest-path layer is a function of its
+own past, so every replica gives it the same layer.  A Coffman-Graham
+layer also depends on how full a layer already is on the replica, so
+replicas that layer a forked DAG in different orders disagree once the
+width binds.  The Coffman-Graham variants exist for the width-bound
+equivalence checks and experiments.
 """
 
 from __future__ import annotations
@@ -207,22 +211,34 @@ def layer_cg(
 
 
 def _diff_parents(
-    state: LayeringState, diff: DiffGraph
+    state: LayeringState, diff: DiffGraph, chain: Chain
 ) -> dict[EventId, list[EventId]]:
-    new_set = set(diff.new_vertices)
+    """Each diff vertex's parents, with the vertices in insertion order.
+
+    Insertion order is causal, so every parent comes before its child.
+    """
+    phi = state.layering.phi
     # layers are never reassigned: every layered vertex is settled
-    overlap = {v for v in new_set if v in state.layering.phi}
+    overlap = {v for v in diff.new_vertices if v in phi}
     if overlap:
         raise OverlapWithSettled(
             ",".join(v.hex()[:12] for v in sorted(overlap))
         )
-    parents: dict[EventId, list[EventId]] = {v: [] for v in diff.new_vertices}
+    index = {v: chain.index_of(v) for v in diff.new_vertices}
+    parents: dict[EventId, list[EventId]] = {
+        v: [] for v in sorted(index, key=index.__getitem__)
+    }
     for child, parent in diff.new_edges:
-        if child not in parents:
+        if child not in index:
             raise UnlayeredDependency(
                 f"diff edge child {child.hex()[:12]} not in new vertices"
             )
-        if parent not in new_set and parent not in state.layering.phi:
+        if parent in index:
+            if index[parent] >= index[child]:
+                raise UnlayeredDependency(
+                    f"parent {parent.hex()[:12]} was not inserted before its child"
+                )
+        elif parent not in phi:
             raise UnlayeredDependency(
                 f"parent {parent.hex()[:12]} has no layer"
             )
@@ -230,44 +246,17 @@ def _diff_parents(
     return parents
 
 
-def _causal_diff_order(
-    chain: Chain,
-    parents: dict[EventId, list[EventId]],
-    layered: dict[EventId, int],
-) -> list[EventId]:
-    """Diff vertices in a causal order, ties by (lamport, id)."""
-    remaining = dict(parents)
-    done: set[EventId] = set()
-    out: list[EventId] = []
-    while remaining:
-        batch = [
-            v
-            for v, ps in remaining.items()
-            if all(p in layered or p in done for p in ps)
-        ]
-        if not batch:
-            raise UnlayeredDependency("diff contains a dependency cycle")
-        batch.sort(key=lambda v: chain.get(v).sort_key())
-        for v in batch:
-            out.append(v)
-            done.add(v)
-            del remaining[v]
-    return out
-
-
 def layer_lpl_online(
     state: LayeringState, diff: DiffGraph, chain: Chain
 ) -> LayeringState:
     """Online longest-path layering: label only the diff vertices.
 
-    Settled labels are never touched, so the result after streaming any
-    causal sequence of diffs equals the batch layering of the final DAG.
+    The diff vertices are labelled in insertion order.  Settled labels are
+    never touched, so the result after streaming any causal sequence of
+    diffs equals the batch layering of the final DAG.
     """
-    parents = _diff_parents(state, diff)
-    for v in _causal_diff_order(chain, parents, state.layering.phi):
-        layer = 1 + max(
-            (state.layering.phi[p] for p in parents[v]), default=0
-        )
+    for v, ps in _diff_parents(state, diff, chain).items():
+        layer = 1 + max((state.layering.phi[p] for p in ps), default=0)
         state.layering.assign(v, layer)
     return state
 
@@ -277,17 +266,16 @@ def layer_cg_online(
 ) -> LayeringState:
     """Online Coffman-Graham: append diff vertices to the lowest feasible layer.
 
-    A vertex lands on max(parent layers) + 1 when that layer still has
-    room, otherwise on a fresh top layer.  Assumes causal diffs on the
-    reduced view, like the batch variant.
+    The diff vertices are placed in insertion order.  A vertex lands on
+    max(parent layers) + 1 when that layer still has room, otherwise on a
+    fresh top layer, so its layer depends on the order the vertices
+    arrive in.  Assumes causal diffs on the reduced view, like the batch
+    variant.
     """
     if width < 1:
         raise InvalidWidth(f"width must be >= 1, got {width}")
-    parents = _diff_parents(state, diff)
-    for v in _causal_diff_order(chain, parents, state.layering.phi):
-        target = 1 + max(
-            (state.layering.phi[p] for p in parents[v]), default=0
-        )
+    for v, ps in _diff_parents(state, diff, chain).items():
+        target = 1 + max((state.layering.phi[p] for p in ps), default=0)
         if len(state.layering.layers.get(target, ())) >= width:
             target = max(state.layering.height, target) + 1
         state.layering.assign(v, target)

@@ -9,8 +9,6 @@ receives an event whose parents it lacks asks the sender for them.
 
 from __future__ import annotations
 
-import logging
-import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -39,13 +37,9 @@ from .layering import (
     DiffGraph,
     Layering,
     LayeringState,
-    layer_cg_online,
     layer_lpl_online,
-    max_width,
 )
 from .roots import RootGraphEngine
-
-log = logging.getLogger(__name__)
 
 # How often the consensus pipeline runs during simulation stepping.  It is
 # always run once more when a node quiesces, so the cadence trades steady
@@ -118,10 +112,6 @@ class NodeState:
         node_id: NodeId,
         n: int,
         k: int | None = None,
-        layering_algo: str = "lpl",
-        width: int | None = None,
-        w_p: int = 0,
-        w_c: int = 0,
     ) -> None:
         if n < 1:
             raise ConfigError("need at least one node")
@@ -131,11 +121,6 @@ class NodeState:
         if self.k < 1 or self.k > n:
             raise ConfigError(f"k={self.k} out of range for n={n}")
         self.peers: list[NodeId] = [p for p in range(n) if p != node_id]
-        self.layering_algo = layering_algo
-        if layering_algo == "cg":
-            self.width = width if width is not None else math.ceil(max_width(n, w_p, w_c))
-        else:
-            self.width = None
 
         self.chain = Chain()
         self.lstate = LayeringState(Layering())
@@ -324,8 +309,6 @@ class NodeState:
                         EventRequest(unknown, self.chain.known_map()),
                     )
                 )
-        else:  # pragma: no cover - exhaustive above
-            log.warning("unknown message %r", msg)
 
     # -- consensus pipeline ------------------------------------------------
 
@@ -334,17 +317,17 @@ class NodeState:
 
         Layers, frames and slot decisions are each computed once, from
         an event's own past, so a run only handles what arrived since the
-        previous one.  Once every slot of the lowest frame not emitted is
-        decided, that frame's Clothos become Atropos and flush their pasts.
+        previous one.  Layers are longest-path layers, the only layering
+        that is a function of an event's own past: a width-bounded one
+        depends on what else a replica has layered, and would split the
+        (layer, Lamport time, id) order between replicas.  Once every
+        slot of the lowest frame not emitted is decided, that frame's
+        Clothos become Atropos and flush their pasts.
         """
         rg = self.engine.graph
         known = len(rg.order)
         if self._fresh:
-            diff = self._diff_graph(self._fresh)
-            if self.layering_algo == "cg":
-                layer_cg_online(self.lstate, self.width, diff, self.chain)
-            else:
-                layer_lpl_online(self.lstate, diff, self.chain)
+            layer_lpl_online(self.lstate, self._diff_graph(self._fresh), self.chain)
             self.engine.update(self.chain, self.lstate.layering, self._fresh)
             self._fresh = []
         select_clothos(self.chain, rg, self.n, self.election)
@@ -364,13 +347,12 @@ class NodeState:
         self._update_stages(rg.order[known:], appended)
 
     def _diff_graph(self, fresh: list[EventId]) -> DiffGraph:
-        fresh_set = set(fresh)
         edges = []
         for eid in fresh:
             e = self.chain.get(eid)
             for r in e.refs:
                 edges.append((eid, r))
-        return DiffGraph(tuple(fresh_set), tuple(edges))
+        return DiffGraph(tuple(fresh), tuple(edges))
 
     def _update_stages(
         self, new_roots: list[EventId], appended: list[EventId]
@@ -430,15 +412,14 @@ class NodeState:
 
     # -- main step -----------------------------------------------------------
 
-    def step(self, step_no: int, inbox: list[Envelope], emit: bool = True) -> list[Envelope]:
+    def step(self, step_no: int, inbox: list[Envelope]) -> list[Envelope]:
         """One scheduler tick: consume inbox, emit, announce forks, run consensus."""
         self.outbox = []
         for env in inbox:
             self.handle_message(env)
-        if emit:
-            e = self.create_event()
-            for p in self.peers:
-                self.outbox.append(Envelope(self.id, p, Broadcast((e,))))
+        e = self.create_event()
+        for p in self.peers:
+            self.outbox.append(Envelope(self.id, p, Broadcast((e,))))
         # each event that joined a fork here goes out once, paired with its
         # earliest-inserted rival, in one notice per peer; the forking
         # creator made both members and is told nothing.  A peer that lacks

@@ -35,8 +35,6 @@ class SimConfig:
     k: int | None = None
     steps: int = 100
     seed: str = "0"
-    layering_algo: str = "lpl"
-    width: int | None = None
     byzantine: dict[NodeId, str] = field(default_factory=dict)
     w_p: int = 0
     w_c: int = 0
@@ -48,8 +46,6 @@ class SimConfig:
             raise ConfigError("simulation needs at least two nodes")
         if self.steps < 1:
             raise ConfigError("steps must be positive")
-        if self.layering_algo not in ("lpl", "cg"):
-            raise ConfigError(f"unknown layering algorithm {self.layering_algo!r}")
         if self.delay_model not in DELAY_MODELS:
             raise ConfigError(f"unknown delay model {self.delay_model!r}")
         if self.delay_model == "drop" and not 0 <= self.delay_arg < 1:
@@ -64,11 +60,16 @@ class SimConfig:
         k = self.k if self.k is not None else min(3, self.n)
         if not 1 <= k <= self.n:
             raise ConfigError(f"k={k} out of range for n={self.n}")
-        validate_width(self.width, self.w_p, self.w_c)
+        validate_width(None, self.w_p, self.w_c)
 
 
 def validate_width(width: int | None, w_p: int = 0, w_c: int = 0) -> None:
-    """Reject a CG width below 1 and a negative fork budget."""
+    """Reject a width below 1 and a negative fork budget.
+
+    The width bounds the offline Coffman-Graham layering (``layer --algo
+    cg``); the consensus layers by longest path and takes no width.  The
+    fork budget sizes the forker's branches and the width bound.
+    """
     if width is not None and width < 1:
         raise ConfigError(f"width must be >= 1, got {width}")
     if w_p < 0 or w_c < 0:
@@ -283,15 +284,7 @@ def build_nodes(cfg: SimConfig) -> tuple[dict[NodeId, NodeState], dict[NodeId, B
     for i in range(cfg.n):
         kind = cfg.byzantine.get(i)
         if kind is None:
-            honest[i] = NodeState(
-                i,
-                cfg.n,
-                k=cfg.k,
-                layering_algo=cfg.layering_algo,
-                width=cfg.width,
-                w_p=cfg.w_p,
-                w_c=cfg.w_c,
-            )
+            honest[i] = NodeState(i, cfg.n, k=cfg.k)
         elif kind == "forker":
             byz[i] = Forker(i, cfg.n, cfg.w_p or 2, cfg.w_c or 4)
         elif kind == "equivocator":

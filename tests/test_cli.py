@@ -65,11 +65,7 @@ def test_run_byzantine_reports_fork_exclusion(capsys):
             None,
             id="forker",
         ),
-        pytest.param(
-            ["--algo", "cg", "--width", "6", "--k", "2"],
-            None,
-            id="cg",
-        ),
+        pytest.param(["--k", "2"], None, id="k2"),
         # the manifest's seed wins over ONLAY_SEED on replay
         pytest.param(["--delay", "rand:2"], "other", id="seed-env"),
     ],
@@ -150,9 +146,9 @@ def test_seed_env_override(tmp_path, monkeypatch):
         ["run", "--byzantine", "1:sleeper"],
         ["run", "--delay", "rand:x"],
         ["run", "--nodes", "1"],
-        ["run", "--algo", "cg", "--width", "0"],
-        ["verify", "--algo", "cg", "--width", "0"],
-        ["run", "--algo", "cg", "--wp", "-3", "--wc", "12"],
+        ["run", "--k", "9"],
+        ["verify", "--wp", "-3", "--wc", "12"],
+        ["run", "--wp", "-3", "--wc", "12"],
         ["verify", "--wc", "-1"],
         ["replay", "/nonexistent/dir"],
     ],
@@ -171,7 +167,8 @@ def test_bad_chain_file_exits_2(tmp_path, capsys):
     "argv",
     [
         ["layer", "--algo", "cg", "--width", "0"],
-        ["finality", "--algo", "cg", "--width", "0"],
+        # the width is checked whichever algorithm is asked for
+        ["layer", "--width", "-2"],
         ["layer", "--algo", "cg", "--wp", "-5", "--wc", "9"],
     ],
 )

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from chaingen import random_chain
+from chaingen import causal_shuffle, random_chain
 from layerdag.chain import Chain
 from layerdag.errors import InvalidWidth, OverlapWithSettled, UnlayeredDependency
 from layerdag.events import make_event, make_leaf
@@ -21,6 +21,7 @@ from layerdag.layering import (
     max_width,
     transitive_reduce,
 )
+from layerdag.simnet import SimConfig, run
 
 
 def longest_path_oracle(chain):
@@ -237,6 +238,35 @@ def test_online_cg_equals_batch_under_causal_order():
     assert state.layering.phi == batch.phi
 
 
+def test_online_cg_layers_a_forked_chain_by_arrival_order_and_lpl_does_not():
+    # why the consensus layers by longest path only: two replicas that
+    # receive one forked chain in different causal orders get different
+    # width-bounded layers, so they would order its events differently
+    n = 7
+    cfg = SimConfig(n=n, steps=10, seed="ocg-fork", byzantine={6: "equivocator"})
+    chain = run(cfg).nodes[0].chain
+    assert chain.detect_forks()
+    orders = [
+        list(chain.in_insertion_order()),
+        causal_shuffle(chain, random.Random("ocg-fork/order")),
+    ]
+    cg, lpl = [], []
+    for blocks in orders:
+        cg_state, lpl_state = LayeringState(Layering()), LayeringState(Layering())
+        replay = Chain()
+        for e in blocks:
+            replay.insert(e)
+            diff = DiffGraph((e.id,), tuple((e.id, r) for r in e.refs))
+            layer_cg_online(cg_state, n, diff, replay)
+            layer_lpl_online(lpl_state, diff, replay)
+        assert_valid_layering(chain, cg_state.layering)
+        assert cg_state.layering.width <= n
+        cg.append(cg_state.layering.phi)
+        lpl.append(lpl_state.layering.phi)
+    assert cg[0] != cg[1]
+    assert lpl[0] == lpl[1] == layer_lpl(chain).phi
+
+
 def test_online_lpl_rejects_unlayered_dependency():
     chain = Chain()
     a = make_leaf(0)
@@ -247,6 +277,10 @@ def test_online_lpl_rejects_unlayered_dependency():
     diff = DiffGraph((b.id,), ((b.id, a.id),))
     with pytest.raises(UnlayeredDependency):
         layer_lpl_online(state, diff, chain)
+    # an edge to a vertex inserted after its child is not causal
+    with pytest.raises(UnlayeredDependency):
+        layer_lpl_online(state, DiffGraph((a.id, b.id), ((a.id, b.id),)), chain)
+    assert state.layering.phi == {}
 
 
 @pytest.mark.parametrize("online", ["lpl", "cg"])

@@ -255,8 +255,8 @@ def check_notices_name_new_fork_members(monkeypatch):
             )
         handle(node, env)
 
-    def checked_step(node, step_no, inbox, emit=True):
-        out = step(node, step_no, inbox, emit)
+    def checked_step(node, step_no, inbox):
+        out = step(node, step_no, inbox)
         chain = node.chain
         order = [e.id for e in chain.in_insertion_order()]
         joined = [y for y in order[checked.get(node, 0):] if joined_fork(chain, y)]
@@ -382,8 +382,8 @@ def test_no_notice_goes_to_the_forking_creator(monkeypatch):
     step = NodeState.step
     named = {}  # dst -> creators of the pairs it was sent
 
-    def recording_step(node, step_no, inbox, emit=True):
-        out = step(node, step_no, inbox, emit)
+    def recording_step(node, step_no, inbox):
+        out = step(node, step_no, inbox)
         for env in out:
             if isinstance(env.payload, ForkNotice):
                 named.setdefault(env.dst, set()).update(
@@ -594,15 +594,13 @@ def run_against_oracle(node, run_pipeline):
         simnet.SimConfig(
             n=5,
             steps=240,
-            seed="oracle/cg",
-            layering_algo="cg",
-            width=6,
+            seed="oracle/k2",
             k=2,
             delay_model="rand",
             delay_arg=1,
         ),
     ],
-    ids=["rand3", "reorder-forkers", "equivocator", "cg"],
+    ids=["rand3", "reorder-forkers", "equivocator", "k2"],
 )
 def test_incremental_pipeline_matches_from_scratch_oracle(cfg, monkeypatch):
     incremental = NodeState.run_pipeline

@@ -124,13 +124,27 @@ def test_equivalence_theorems_on_forkfree_run():
     check_equivalence_theorems(result.nodes[0].chain, 5)
 
 
-def test_cg_harness_matches_lpl_orders():
-    base = SimConfig(n=4, steps=60, seed="algo")
-    lpl = run(base)
-    cg = run(dataclasses.replace(base, layering_algo="cg"))
-    assert (
-        lpl.nodes[0].order.ordered_events == cg.nodes[0].order.ordered_events
+@pytest.mark.parametrize(
+    "model,arg", [("lockstep", 0.0), ("rand", 2.0)], ids=["lockstep", "rand2"]
+)
+def test_equivocator_run_that_splits_width_bounded_layers_keeps_orders_identical(
+    model, arg
+):
+    # under online Coffman-Graham at width n these runs gave honest
+    # replicas different layers, and so different final orders
+    cfg = SimConfig(
+        n=7,
+        steps=100,
+        seed="cg/0",
+        byzantine={6: "equivocator"},
+        delay_model=model,
+        delay_arg=arg,
     )
+    result = run(cfg)
+    check_identical_orders(result)
+    check_fork_exclusion(result)
+    layers = [node.lstate.layering.phi for node in result.nodes.values()]
+    assert all(phi == layers[0] for phi in layers)
 
 
 def test_transactions_finalize():
