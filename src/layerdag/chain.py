@@ -278,14 +278,6 @@ class Chain:
             return None
         return min(tips, key=lambda t: self.events[t].sort_key())
 
-    @property
-    def top_events(self) -> dict[NodeId, EventId]:
-        return {
-            c: self.top_event(c)
-            for c in sorted(self._tips)
-            if self._tips[c]
-        }
-
     # -- forks ----------------------------------------------------------
 
     def detect_forks(self) -> list[tuple[EventId, EventId]]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 from .chain import Chain, KnownMap
-from .errors import ConfigError, IncompleteCoverage, UnknownTransaction
+from .errors import ConfigError, IncompleteCoverage, LayerDagError, UnknownTransaction
 from .events import (
     EventBlock,
     EventId,
@@ -248,7 +248,7 @@ class NodeState:
             del self.pending[e.id]
             try:
                 self._insert(e, report)
-            except Exception as exc:
+            except LayerDagError as exc:
                 report.rejected.append((e.id, str(exc)))
         report.buffered = list(self.pending)
         return report

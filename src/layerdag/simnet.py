@@ -1,8 +1,10 @@
 """Deterministic multi-node simulation harness.
 
 Runs n protocol nodes over an in-memory transport with pluggable delay
-models and optional Byzantine participants.  Determinism contract: given
-the same configuration and seed, every run produces byte-identical
+models and optional Byzantine participants.  An adversary keeps no
+replica: it builds its events on the freshest event it was delivered of
+each other creator, whose refs it need not hold.  Determinism contract:
+given the same configuration and seed, every run produces byte-identical
 snapshots, traces, and final orders.
 """
 
@@ -13,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from .chain import Chain
-from .errors import ConfigError, InvalidCut, LayerDagError
+from .errors import ConfigError, InvalidCut
 from .events import EventBlock, EventId, NodeId, make_event, make_leaf, new_event
 from .layering import Layering, layer_cg, layer_lpl, max_width, transitive_reduce
 from .node import (
@@ -110,49 +112,38 @@ class Transport:
     def pending(self) -> bool:
         return any(self.queue.values())
 
-    def drain_all(self) -> list[Envelope]:
-        out = []
-        for at in sorted(self.queue):
-            out.extend(self.queue.pop(at))
-        return out
-
 
 # -- byzantine participants ---------------------------------------------
 
 
 class ByzantineNode:
-    """Adversarial participant that only emits events and answers no request."""
+    """Adversarial participant that only emits events and answers no request.
+
+    It keeps no replica and validates nothing.  ``latest`` holds the
+    freshest event, by (lamport, id), that it was delivered of each other
+    creator, whether or not that event's refs reached it; it picks refs
+    from there.
+    """
 
     def __init__(self, node_id: NodeId, n: int) -> None:
         self.id = node_id
         self.n = n
-        self.chain = Chain()
+        self.latest: dict[NodeId, EventBlock] = {}
         self.forked: list[EventBlock] = []  # all members we ever emitted
 
     def _peer_tops(self, count: int) -> list[EventBlock]:
-        tops = [
-            self.chain.get(t)
-            for c, t in self.chain.top_events.items()
-            if c != self.id
-        ]
-        tops.sort(key=lambda e: e.sort_key(), reverse=True)
-        return tops[:count]
+        return sorted(self.latest.values(), key=EventBlock.sort_key, reverse=True)[:count]
 
     def absorb(self, inbox: list[Envelope]) -> None:
-        """Insert every delivered event whose refs are held or delivered too.
-
-        Refs have lower Lamport times than their referrers, so one pass in
-        (lamport, id) order inserts each ref before anything that needs it.
-        """
-        events = [
-            e
-            for env in inbox
-            if isinstance(env.payload, (Broadcast, EventResponse))
-            for e in env.payload.events
-        ]
-        for e in sorted(events, key=EventBlock.sort_key):
-            if e.id not in self.chain and all(r in self.chain for r in e.refs):
-                self.chain.insert(e)
+        # it never asks for events, so only broadcasts carry them here
+        for env in inbox:
+            if isinstance(env.payload, Broadcast):
+                for e in env.payload.events:
+                    held = self.latest.get(e.creator)
+                    if e.creator != self.id and (
+                        held is None or e.sort_key() > held.sort_key()
+                    ):
+                        self.latest[e.creator] = e
 
     def step(self, step_no: int, inbox: list[Envelope]) -> list[Envelope]:  # pragma: no cover
         raise NotImplementedError
@@ -162,7 +153,6 @@ class Silent(ByzantineNode):
     """Produces nothing; a crashed node."""
 
     def step(self, step_no: int, inbox: list[Envelope]) -> list[Envelope]:
-        self.absorb(inbox)
         return []
 
 
@@ -183,21 +173,16 @@ class Forker(ByzantineNode):
         fresh: list[EventBlock] = []
         if self.base is None:
             self.base = make_leaf(self.id, b"")
-            self.chain.insert(self.base)
             fresh.append(self.base)
         else:
             branch = step_no % self.w_p
             if self.branch_depth[branch] < self.w_c:
                 parent = self.branch_tips[branch] or self.base
-                others = tuple(e for e in self._peer_tops(2))
+                others = tuple(self._peer_tops(2))
                 # distinct payloads keep fork members distinguishable
                 e = make_event(
                     self.id, parent, others, b"fork:%d:%d" % (branch, step_no)
                 )
-                try:
-                    self.chain.insert(e)
-                except LayerDagError:
-                    return out
                 self.branch_tips[branch] = e
                 self.branch_depth[branch] += 1
                 fresh.append(e)
@@ -226,10 +211,6 @@ class Equivocator(ByzantineNode):
                 e = new_event(self.id, None, (), 0, b"eq:%d" % branch, 0)
             else:
                 e = make_event(self.id, parent, others, b"eq:%d:%d" % (branch, step_no))
-            try:
-                self.chain.insert(e)
-            except LayerDagError:
-                continue
             self.tips[branch] = e
             self.forked.append(e)
             for p in range(self.n):
@@ -302,12 +283,12 @@ def run(
     """Execute the simulation and quiesce it.
 
     After the configured steps, a drain phase delivers everything still in
-    flight (nodes answer it but emit no new events), then exchanges the
-    differences between every pair of honest chains until no node learns
-    anything new, so replicas converge on the same chain before snapshots
-    are compared.  ``on_step(step_no,
-    nodes)`` is an observation hook called after every scheduler tick; it
-    must not mutate anything.
+    flight to the honest nodes (they answer it but emit no new events),
+    then exchanges the differences between every pair of honest chains
+    until no node learns anything new, so replicas converge on the same
+    chain before snapshots are compared.  ``on_step(step_no, nodes)`` is
+    an observation hook called after every scheduler tick; it must not
+    mutate anything.
     """
     cfg.validate()
     honest, byz = build_nodes(cfg)
@@ -343,29 +324,24 @@ def run(
         if on_step is not None:
             on_step(step_no, honest)
 
-    # -- drain phase: flush in-flight traffic, then settle with chain diffs
+    # -- drain phase: flush in-flight traffic to the honest nodes, then
+    # settle with chain diffs.  The pipeline feeds nothing back into the
+    # network, so it runs once per node at the end
     step_no = cfg.steps
     while transport.pending():
         step_no += 1
-        arrivals = transport.take(step_no)
-        if not arrivals and transport.pending():
-            continue
-        inboxes = {i: [] for i in range(cfg.n)}
-        for env in arrivals:
-            inboxes[env.dst].append(env)
-        for nid in range(cfg.n):
-            if not inboxes[nid]:
-                continue
-            node = honest.get(nid) or byz[nid]
-            if isinstance(node, NodeState):
+        inboxes = {i: [] for i in honest}
+        for env in transport.take(step_no):
+            if env.dst in honest:
+                inboxes[env.dst].append(env)
+        for nid, inbox in inboxes.items():
+            if inbox:
+                node = honest[nid]
                 node.outbox = []
-                for env in inboxes[nid]:
+                for env in inbox:
                     node.handle_message(env)
                 # nodes only answer during drain; they emit no new events
                 dispatch(step_no, node.outbox)
-                node.run_pipeline()
-            else:
-                node.absorb(inboxes[nid])
 
     # mutual full diffs until fixpoint: every honest node sees the union
     changed = True
@@ -384,9 +360,6 @@ def run(
                     report = honest[a].ingest_events(closure)
                     if report.accepted:
                         changed = True
-        if changed:
-            for nid in ids:
-                honest[nid].run_pipeline()
     for nid in sorted(honest):
         honest[nid].run_pipeline()
 

@@ -188,6 +188,24 @@ def test_criterion_8_consistent_cut(honest_runs):
 # -- 5: BFT fork exclusion -----------------------------------------------------
 
 
+def _fork_pairs(members):
+    """Id-sorted pairs of members where neither is a self-ancestor of the other."""
+    by_id = {e.id: e for e in members}
+    below = {}
+    for e in members:
+        below[e.id] = set()
+        x = e
+        while x.self_ref in by_id:
+            x = by_id[x.self_ref]
+            below[e.id].add(x.id)
+    return {
+        (min(a.id, b.id), max(a.id, b.id))
+        for i, a in enumerate(members)
+        for b in members[:i]
+        if a.id not in below[b.id] and b.id not in below[a.id]
+    }
+
+
 def test_criterion_5_fork_exclusion():
     for i in range(50):
         # under lockstep every seed gives one outcome, so rotate the delays
@@ -215,11 +233,11 @@ def test_criterion_5_fork_exclusion():
                 f"run {i} ({model}): node {nid} finalized {final_honest} "
                 f"of {len(honest)} honest events"
             )
-        # ground-truth pairs come from the cheaters' own chains, since a
-        # member that never reached an honest node is not in its chain
+        # ground-truth pairs come from the members the cheaters emitted,
+        # since a member that never reached an honest node is not in its chain
         pairs = set()
         for byz in result.byzantine.values():
-            pairs.update(byz.chain.detect_forks())
+            pairs.update(_fork_pairs(byz.forked))
         assert pairs, f"run {i}: forkers produced no fork pairs"
         for nid, node in result.nodes.items():
             final = set(node.order.ordered_events)

@@ -140,7 +140,8 @@ def test_top_events_are_self_chain_heads():
     rng = random.Random("tops")
     chain = random_chain(rng, 4, 30)
     extended = {e.self_ref for e in chain.in_insertion_order() if e.self_ref}
-    for creator, top in chain.top_events.items():
+    for creator in chain.creators():
+        top = chain.top_event(creator)
         assert chain.get(top).creator == creator
         assert top not in extended  # no event builds on top of it
 

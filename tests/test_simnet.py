@@ -205,6 +205,30 @@ def test_forker_actually_forks():
     check_fork_exclusion(result)
 
 
+@pytest.mark.parametrize("model,arg", DELAY_MODELS[1:])
+@pytest.mark.parametrize("seed", range(3))
+def test_equivocator_cites_fresh_honest_events_under_delays(model, arg, seed):
+    # an adversary whose view froze after an early loss keeps citing the
+    # first steps' events, so its forks never touch the live history
+    steps = 100
+    cfg = SimConfig(
+        n=7,
+        steps=steps,
+        seed=f"fresh/{seed}",
+        delay_model=model,
+        delay_arg=arg,
+        byzantine={6: "equivocator"},
+    )
+    result = run(cfg)
+    chain = result.nodes[0].chain
+    for member in result.byzantine[6].forked[-2:]:
+        assert member.other_refs
+        for ref in member.other_refs:
+            cited = chain.get(ref)
+            assert cited.creator in result.nodes
+            assert cited.creation_seq >= steps - 5
+
+
 @pytest.mark.parametrize("model,arg", DELAY_MODELS)
 def test_forked_runs_end_with_one_chain_on_every_replica(model, arg):
     # every valid event enters the chain, so the drain leaves each honest
