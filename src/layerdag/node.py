@@ -9,6 +9,7 @@ receives an event whose parents it lacks asks the sender for them.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -101,7 +102,7 @@ class Envelope:
 @dataclass
 class IngestReport:
     accepted: list[EventId] = field(default_factory=list)
-    buffered: list[EventId] = field(default_factory=list)
+    buffered: list[EventId] = field(default_factory=list)  # arrivals held back
     rejected: list[tuple[EventId, str]] = field(default_factory=list)
     fork_members: list[EventId] = field(default_factory=list)  # accepted, joined a fork
 
@@ -132,7 +133,11 @@ class NodeState:
         # always empty: every valid event enters the chain.  Kept only
         # because the benchmark's observer reads its size
         self.quarantine: dict[EventId, EventBlock] = {}
-        self.pending: dict[EventId, EventBlock] = {}  # missing parents
+        self.pending: dict[EventId, EventBlock] = {}  # held back: refs missing
+        # for each ref not in the chain, the held-back events that lack it,
+        # each with its arrival number
+        self._waiting: dict[EventId, list[tuple[int, EventBlock]]] = {}
+        self._arrivals = 0
         # (creator, fork pair) per event that joined a fork since the last
         # notice flush in ``step``
         self._notices: list[tuple[NodeId, tuple[EventId, EventId]]] = []
@@ -210,15 +215,22 @@ class NodeState:
     # -- ingest ----------------------------------------------------------
 
     def ingest_events(self, events: list[EventBlock]) -> IngestReport:
-        """Insert foreign events, buffering those whose refs are not held.
+        """Insert foreign events, holding back those whose refs are not held.
 
         Every valid event enters the chain, fork members included: the
         final order follows one self-chain per creator, and the election
         drops the votes of a creator whose fork a root's past shows.  An
         event whose id is not the hash of its content is rejected, so no
         two replicas hold different content under one id.
+
+        An event that lacks refs waits in ``pending``, listed under each
+        ref it lacks, until the last of them is inserted.  Events are
+        placed in (Lamport time, arrival) order, so a ref goes in before
+        anything that cites it; the chain rejects an event whose Lamport
+        time is not above a ref's.
         """
         report = IngestReport()
+        ready: list[tuple[int, int, EventBlock]] = []
         for e in events:
             if e.id in self.pending or e.id in self.chain:
                 continue
@@ -233,47 +245,41 @@ class NodeState:
                 report.rejected.append((e.id, "id does not match content"))
                 continue
             self.pending[e.id] = e
-        # a ref's Lamport time is below its referrer's, so one pass in
-        # Lamport order inserts each ref before anything that needs it; the
-        # sort is stable, so ties keep their arrival order.  An event that
-        # claims a time not above a held or pending ref's breaks that rule:
-        # the pass rejects it there, or the chain does once its refs are held
-        for e in sorted(self.pending.values(), key=lambda x: x.lamport_ts):
-            if any(r not in self.chain for r in e.refs):
-                held = (self.chain.events.get(r) or self.pending.get(r) for r in e.refs)
-                if any(h and h.lamport_ts >= e.lamport_ts for h in held):
-                    del self.pending[e.id]
-                    report.rejected.append((e.id, "lamport time not above a parent's"))
-                continue
+            report.buffered.append(e.id)
+            self._arrivals += 1
+            lacks = {r for r in e.refs if r not in self.chain}
+            for r in lacks:
+                self._waiting.setdefault(r, []).append((self._arrivals, e))
+            if not lacks:
+                heapq.heappush(ready, (e.lamport_ts, self._arrivals, e))
+        while ready:
+            _, _, e = heapq.heappop(ready)
             del self.pending[e.id]
             try:
                 self._insert(e, report)
             except LayerDagError as exc:
                 report.rejected.append((e.id, str(exc)))
-        report.buffered = list(self.pending)
+                continue
+            for arrival, w in self._waiting.pop(e.id, ()):
+                if all(r in self.chain for r in w.refs):
+                    heapq.heappush(ready, (w.lamport_ts, arrival, w))
+        report.buffered = [eid for eid in report.buffered if eid in self.pending]
         return report
 
     # -- message handling ---------------------------------------------------
-
-    def _request_missing(self, src: NodeId) -> None:
-        wanted = sorted(
-            {r for e in self.pending.values() for r in e.refs}
-            - set(self.pending)
-            - set(self.chain.events)
-        )
-        if wanted:
-            self.outbox.append(
-                Envelope(
-                    self.id, src, EventRequest(tuple(wanted), self.chain.known_map())
-                )
-            )
 
     def handle_message(self, env: Envelope) -> None:
         msg = env.payload
         if isinstance(msg, Broadcast):
             self.ingest_events(list(msg.events))
-            if self.pending:
-                self._request_missing(env.src)
+            # ask the sender for every ref a held-back event lacks that is
+            # not held back itself
+            wanted = [r for r in self._waiting if r not in self.pending]
+            if wanted:
+                known = self.chain.known_map()
+                self.outbox.append(
+                    Envelope(self.id, env.src, EventRequest(tuple(sorted(wanted)), known))
+                )
         elif isinstance(msg, EventRequest):
             have = [w for w in msg.wanted if w in self.chain]
             events = tuple(self.chain.closure_of_limited(have, known=msg.known))

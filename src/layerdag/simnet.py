@@ -52,8 +52,8 @@ class SimConfig:
             raise ConfigError(f"unknown delay model {self.delay_model!r}")
         if self.delay_model == "drop" and not 0 <= self.delay_arg < 1:
             raise ConfigError("drop probability must be in [0, 1)")
-        if self.delay_model in ("rand", "reorder") and self.delay_arg < 0:
-            raise ConfigError("delay bound must be non-negative")
+        if self.delay_model in ("rand", "reorder") and (self.delay_arg < 0 or self.delay_arg % 1):
+            raise ConfigError("delay bound must be a non-negative whole number")
         for nid, kind in self.byzantine.items():
             if kind not in BYZANTINE_KINDS:
                 raise ConfigError(f"unknown byzantine kind {kind!r}")
@@ -283,9 +283,9 @@ def run(
     """Execute the simulation and quiesce it.
 
     After the configured steps, a drain phase delivers everything still in
-    flight to the honest nodes (they answer it but emit no new events),
-    then exchanges the differences between every pair of honest chains
-    until no node learns anything new, so replicas converge on the same
+    flight to the honest nodes (they answer it but emit no new events).
+    Then each honest node is offered, in one call, every event some honest
+    node holds in its chain or holds back, so replicas end with the same
     chain before snapshots are compared.  ``on_step(step_no, nodes)`` is
     an observation hook called after every scheduler tick; it must not
     mutate anything.
@@ -325,8 +325,8 @@ def run(
             on_step(step_no, honest)
 
     # -- drain phase: flush in-flight traffic to the honest nodes, then
-    # settle with chain diffs.  The pipeline feeds nothing back into the
-    # network, so it runs once per node at the end
+    # hand each the events it lacks.  The pipeline feeds nothing back into
+    # the network, so it runs once per node at the end
     step_no = cfg.steps
     while transport.pending():
         step_no += 1
@@ -343,25 +343,18 @@ def run(
                 # nodes only answer during drain; they emit no new events
                 dispatch(step_no, node.outbox)
 
-    # mutual full diffs until fixpoint: every honest node sees the union
-    changed = True
-    rounds = 0
-    while changed and rounds < 4 * cfg.n:
-        changed = False
-        rounds += 1
-        ids = sorted(honest)
-        for a in ids:
-            for b in ids:
-                if a == b:
-                    continue
-                missing = honest[b].chain.events.keys() - honest[a].chain.events.keys()
-                if missing:
-                    closure = honest[b].chain.closure_of(missing)
-                    report = honest[a].ingest_events(closure)
-                    if report.accepted:
-                        changed = True
-    for nid in sorted(honest):
-        honest[nid].run_pipeline()
+    # each replica gets, in one call, every event an honest replica holds or
+    # holds back; without the latter, one placed here misses earlier replicas
+    union: dict[EventId, EventBlock] = {}
+    for node in honest.values():
+        union.update(node.chain.events)
+        union.update(node.pending)
+    offered = sorted(union.values(), key=EventBlock.sort_key)
+    for node in honest.values():
+        lacking = [e for e in offered if e.id not in node.chain and e.id not in node.pending]
+        if lacking:
+            node.ingest_events(lacking)
+        node.run_pipeline()
 
     return RunResult(cfg, honest, byz, trace, cfg.steps)
 

@@ -151,6 +151,8 @@ def test_seed_env_override(tmp_path, monkeypatch):
         ["run", "--wp", "-3", "--wc", "12"],
         ["verify", "--wc", "-1"],
         ["replay", "/nonexistent/dir"],
+        # the transport draws whole steps, so a fractional bound is refused
+        ["run", "--delay", "rand:1.5"],
     ],
 )
 def test_config_errors_exit_2(argv, capsys):

@@ -7,8 +7,9 @@ import pytest
 
 from chaingen import causal_shuffle, random_chain
 from layerdag import simnet
-from layerdag.errors import IncompleteCoverage, UnknownTransaction
-from layerdag.events import make_event, make_leaf, new_event
+from layerdag.chain import Chain
+from layerdag.errors import IncompleteCoverage, LayerDagError, UnknownTransaction
+from layerdag.events import compute_event_id, make_event, make_leaf, new_event
 from layerdag.finality import (
     Election,
     FinalOrder,
@@ -23,6 +24,7 @@ from layerdag.node import (
     Envelope,
     EventRequest,
     ForkNotice,
+    IngestReport,
     NodeState,
 )
 from layerdag.roots import build_root_graph
@@ -177,7 +179,7 @@ def test_event_claiming_a_lamport_time_not_above_its_parent_never_enters():
     b0 = make_leaf(1)
     b1 = make_event(1, b0, ())
     bad = new_event(1, b1.id, (), 0, b"bad", 2)
-    # ``bad`` sorts before its parent, and the pass rejects it on reaching it
+    # ``bad`` waits for its parent, and the chain rejects it once that is in
     report = node.ingest_events([b0, b1, bad])
     assert report.accepted == [b0.id, b1.id]
     assert [eid for eid, _ in report.rejected] == [bad.id]
@@ -197,6 +199,152 @@ def test_event_claiming_a_lamport_time_not_above_its_parent_is_rejected_when_the
     assert report.accepted == [b0.id, b1.id]
     assert [eid for eid, _ in report.rejected] == [bad.id]
     assert bad.id not in node.chain and not node.pending
+
+
+def test_event_claiming_a_lamport_time_not_above_a_held_back_parent_waits_for_it():
+    node = fresh_node()
+    b0 = make_leaf(1)
+    b1 = make_event(1, b0, ())
+    b2 = make_event(1, b1, ())
+    bad = new_event(1, b2.id, (), 1, b"bad", 3)
+    # its parent is held back too, so nothing can be checked yet
+    report = node.ingest_events([b2, bad])
+    assert not report.rejected
+    assert report.buffered == [b2.id, bad.id]
+    report = node.ingest_events([b0, b1])
+    assert report.accepted == [b0.id, b1.id, b2.id]
+    assert [eid for eid, _ in report.rejected] == [bad.id]
+    assert bad.id not in node.chain and not node.pending
+
+
+class FullPassNode(NodeState):
+    """Reference placement for the differential test below.
+
+    Every call re-sorts all of ``pending`` by Lamport time and places, in
+    one pass, each event whose refs are held; every ``Broadcast`` asks its
+    sender for the refs of all of ``pending`` that are neither held nor
+    pending.
+    """
+
+    def ingest_events(self, events):
+        report = IngestReport()
+        for e in events:
+            if e.id in self.pending or e.id in self.chain:
+                continue
+            if e.id != compute_event_id(
+                e.creator, e.self_ref, e.other_refs, e.lamport_ts, e.payload, e.creation_seq
+            ):
+                report.rejected.append((e.id, "id does not match content"))
+                continue
+            self.pending[e.id] = e
+        for e in sorted(self.pending.values(), key=lambda x: x.lamport_ts):
+            if any(r not in self.chain for r in e.refs):
+                held = (self.chain.events.get(r) or self.pending.get(r) for r in e.refs)
+                if any(h and h.lamport_ts >= e.lamport_ts for h in held):
+                    del self.pending[e.id]
+                    report.rejected.append((e.id, "lamport time not above a parent's"))
+                continue
+            del self.pending[e.id]
+            try:
+                self._insert(e, report)
+            except LayerDagError as exc:
+                report.rejected.append((e.id, str(exc)))
+        report.buffered = list(self.pending)
+        return report
+
+    def handle_message(self, env):
+        if not isinstance(env.payload, Broadcast):
+            return super().handle_message(env)
+        self.ingest_events(list(env.payload.events))
+        wanted = sorted(
+            {r for e in self.pending.values() for r in e.refs}
+            - set(self.pending)
+            - set(self.chain.events)
+        )
+        if wanted:
+            self.outbox.append(
+                Envelope(self.id, env.src, EventRequest(tuple(wanted), self.chain.known_map()))
+            )
+
+
+def forking_chain(rng, n, events):
+    """A valid chain whose creators now and then extend an older event of
+    their own, or make a second leaf, and so fork."""
+    chain = Chain()
+    made = {c: [make_leaf(c, payload=b"leaf:%d" % c)] for c in range(n)}
+    for c in range(n):
+        chain.insert(made[c][0])
+    for i in range(events - n):
+        c = rng.randrange(n)
+        if rng.random() < 0.03:
+            e = make_leaf(c, payload=b"leaf:%d:%d" % (c, i))
+        else:
+            parent = made[c][-1] if rng.random() < 0.85 else rng.choice(made[c])
+            peers = rng.sample([p for p in range(n) if p != c], rng.randint(0, 2))
+            others = tuple(rng.choice(made[p][-3:]) for p in peers)
+            e = make_event(c, parent, others, payload=b"p:%d" % i)
+        chain.insert(e)
+        made[c].append(e)
+    return chain
+
+
+def late_batches(chain, rng):
+    """The chain's events, causally shuffled, then each delayed by up to
+    12 places, a few lost and a few delivered twice, in random batches."""
+    keyed = []
+    for i, e in enumerate(causal_shuffle(chain, rng)):
+        if rng.random() < 0.03:
+            continue
+        keyed.append((i + rng.randint(0, 12), i, e))
+        if rng.random() < 0.05:
+            keyed.append((i + rng.randint(5, 20), i, e))
+    stream = [e for _, _, e in sorted(keyed, key=lambda t: t[:2])]
+    batches = []
+    while stream:
+        size = rng.randint(1, 6)
+        batches.append(stream[:size])
+        stream = stream[size:]
+    return batches
+
+
+@pytest.mark.parametrize("forking", [False, True], ids=["fork-free", "forked"])
+def test_waiting_index_places_events_as_the_full_pass_did(forking):
+    held_back = forked = stuck = 0
+    for seed in range(6):
+        rng = random.Random(f"full-pass/{forking}/{seed}")
+        n = rng.randint(3, 6)
+        if forking:
+            chain = forking_chain(rng, n, 160)
+        else:
+            chain = random_chain(rng, n, 160, k=3)
+        node, ref = NodeState(0, n), FullPassNode(0, n)
+        for batch in late_batches(chain, rng):
+            before = set(node.pending)
+            report = node.ingest_events(batch)
+            expected = ref.ingest_events(batch)
+            assert [e.id for e in node.chain.in_insertion_order()] == [
+                e.id for e in ref.chain.in_insertion_order()
+            ]
+            assert report.accepted == expected.accepted
+            assert report.fork_members == expected.fork_members
+            assert report.rejected == expected.rejected
+            assert list(node.pending) == list(ref.pending)
+            # only this call's arrivals are reported held back
+            assert report.buffered == [
+                eid
+                for eid in dict.fromkeys(e.id for e in batch)
+                if eid in node.pending and eid not in before
+            ]
+            # and the sender of a broadcast is asked for the same ids
+            node.outbox, ref.outbox = [], []
+            node.handle_message(Envelope(1, 0, Broadcast(())))
+            ref.handle_message(Envelope(1, 0, Broadcast(())))
+            assert node.outbox == ref.outbox
+            held_back += bool(before)
+        forked += bool(node.chain.detect_forks())
+        stuck += bool(node.pending)
+    assert held_back >= 30 and stuck >= 3
+    assert forked == (6 if forking else 0)
 
 
 def test_duplicate_delivery_is_harmless():

@@ -54,6 +54,8 @@ def test_config_rejects_bad_values():
         SimConfig(byzantine={1: "sleeper-agent"}).validate()
     with pytest.raises(ConfigError):
         SimConfig(n=4, k=9).validate()
+    with pytest.raises(ConfigError):
+        SimConfig(delay_model="rand", delay_arg=1.5).validate()
 
 
 # -- determinism ----------------------------------------------------------------
@@ -247,6 +249,24 @@ def test_forked_runs_end_with_one_chain_on_every_replica(model, arg):
     held = {nid: set(node.chain.events) for nid, node in result.nodes.items()}
     assert all(ids == held[0] for ids in held.values())
     assert result.nodes[0].chain.detect_forks()
+
+
+@pytest.mark.parametrize("seed", ["bi/0", "bi/9"])
+def test_the_drain_hands_held_back_events_to_every_replica(seed):
+    # on these lossy runs some events are in no honest chain, only held
+    # back, and a replica places one once the drain brings its refs; the
+    # drain must hand it to every other replica too
+    cfg = SimConfig(
+        n=7,
+        steps=120,
+        seed=seed,
+        delay_model="drop",
+        delay_arg=0.3,
+        byzantine={6: "equivocator"},
+    )
+    result = run(cfg)
+    held = {nid: set(node.chain.events) for nid, node in result.nodes.items()}
+    assert all(ids == held[0] for ids in held.values())
 
 
 def test_lost_fork_notices_keep_orders_identical_and_fork_free():
